@@ -22,7 +22,7 @@ from .classify import (
     classify_radius1,
 )
 from .criticality import is_edge_critical, is_vertex_critical
-from .enumeration import ENV_CAP, EnumerationFilter, enumerate_graphs
+from .enumeration import EnumerationFilter, enumerate_graphs, env_cap
 from .errors import GraphInputError, SpecSyntaxError
 from .families import build, parse_spec
 from .graphio import emit_dot, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6, read_graph6_lines
@@ -135,6 +135,14 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _size(flag: Optional[int], fallback: Optional[int] = None) -> Optional[int]:
+    """A size flag, else the PACKCRIT_MAX_N override, else ``fallback``."""
+    if flag is not None:
+        return flag
+    cap = env_cap()
+    return fallback if cap is None else cap
+
+
 def cmd_verify(args) -> int:
     corpus = None
     if args.corpus:
@@ -142,7 +150,7 @@ def cmd_verify(args) -> int:
             corpus = read_graph6_lines(fh.read())
     report = run_sweep(
         args.theorem,
-        max_vertices=args.max_vertices,
+        max_vertices=_size(args.max_vertices),
         base_max=args.base_max,
         jobs=args.jobs,
         corpus=corpus,
@@ -151,8 +159,9 @@ def cmd_verify(args) -> int:
         report.write_ldjson(args.out)
     print(report.summary())
     for rec in report.disagreements:
+        error = f" error={rec['error']}" if "error" in rec else ""
         print(f"  DISAGREE {rec['spec'] or rec['instance_g6']}: "
-              f"predicted={rec['predicted']} oracle={rec['oracle']}")
+              f"predicted={rec['predicted']} oracle={rec['oracle']}{error}")
     return 0 if report.ok else 1
 
 
@@ -176,12 +185,8 @@ def cmd_enumerate(args) -> int:
         structure = "tree"
     elif args.block_graph:
         structure = "block-graph"
-    env_max = os.environ.get(ENV_CAP)
-    max_n = args.max_n if args.max_n is not None else (
-        int(env_max) if env_max else 8
-    )
     filt = EnumerationFilter(
-        max_n=max_n,
+        max_n=_size(args.max_n, fallback=8),
         min_n=args.min_n,
         structure=structure,
         connected=True if args.connected else None,
@@ -224,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a theorem-verification sweep")
     p.add_argument("theorem", choices=sorted(THEOREMS))
-    p.add_argument("--max-vertices", type=int, default=_env_default())
+    p.add_argument("--max-vertices", type=int, default=None)
     p.add_argument("--base-max", type=int, default=None,
                    help="order cap for the stripped base graphs (radius-1 sweeps)")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
@@ -249,11 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("graph6", "edges", "dot"), default="graph6")
     p.set_defaults(func=cmd_enumerate)
     return parser
-
-
-def _env_default() -> Optional[int]:
-    env = os.environ.get(ENV_CAP)
-    return int(env) if env else None
 
 
 def main(argv: Optional[list[str]] = None) -> int:

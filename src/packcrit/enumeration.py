@@ -5,8 +5,10 @@ one vertex over the neighbor subsets that can produce the target class
 (arbitrary subsets in general; a single neighbor for trees; one or two for
 cacti, since deleting a non-cut vertex of a leaf block always leaves a
 cactus; clique-cluster subsets for block graphs).  Candidates deduplicate
-through invariant buckets plus explicit isomorphism tests, and each level is
-emitted sorted by canonical certificate, so the stream is deterministic.
+by canonical certificate, keeping the first candidate of each class, and each
+level is emitted sorted by that certificate, so the stream is deterministic.
+``iso`` stays out of this path: it is the independent oracle the tests check
+the certificates against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .graphs import (
     is_connected,
     radius,
 )
-from .iso import find_isomorphism, vertex_profiles
 
 STRUCTURES = ("all", "tree", "cactus", "block-graph")
 
@@ -33,16 +34,23 @@ _DEFAULT_CAPS = {"all": 8, "tree": 11, "cactus": 11, "block-graph": 11}
 ENV_CAP = "PACKCRIT_MAX_N"
 
 
+def env_cap() -> Optional[int]:
+    """The PACKCRIT_MAX_N override, or None when the variable is unset.  A
+    value that is not an integer raises CapExceededError."""
+    env = os.environ.get(ENV_CAP)
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise CapExceededError(f"{ENV_CAP} must be an integer, got {env!r}") from None
+
+
 def hard_cap(structure: str) -> int:
     """Vertex-count ceiling for a structure class; the PACKCRIT_MAX_N
     environment variable overrides the built-in defaults."""
-    env = os.environ.get(ENV_CAP)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CapExceededError(f"{ENV_CAP} must be an integer, got {env!r}") from None
-    return _DEFAULT_CAPS[structure]
+    cap = env_cap()
+    return _DEFAULT_CAPS[structure] if cap is None else cap
 
 
 @dataclass(frozen=True)
@@ -154,10 +162,6 @@ def canonical_cert(G: Graph) -> tuple[int, int]:
 # -- representative lattices ---------------------------------------------------
 
 
-def _invariant_key(profiles: list[tuple], G: Graph):
-    return (G.n, G.edge_count, tuple(sorted(profiles)))
-
-
 def _subsets_all(n: int) -> Iterator[int]:
     return iter(range(1 << n))
 
@@ -248,8 +252,7 @@ def representatives(structure: str, n: int) -> tuple[Graph, ...]:
 
     parents = representatives(structure, n - 1)
     predicate = _PREDICATES[structure]
-    buckets: dict[object, list[tuple[Graph, list[tuple]]]] = {}
-    kept: list[Graph] = []
+    kept: dict[tuple[int, int], Graph] = {}
     for parent in parents:
         if structure == "tree":
             subsets = _subsets_of_size(parent.n, (1,))
@@ -263,18 +266,8 @@ def representatives(structure: str, n: int) -> tuple[Graph, ...]:
             cand = _grow(parent, mask)
             if structure != "all" and not predicate(cand):
                 continue
-            profiles = vertex_profiles(cand)
-            ikey = _invariant_key(profiles, cand)
-            bucket = buckets.setdefault(ikey, [])
-            if any(
-                find_isomorphism(cand, seen, profiles, seen_prof) is not None
-                for seen, seen_prof in bucket
-            ):
-                continue
-            bucket.append((cand, profiles))
-            kept.append(cand)
-    kept.sort(key=canonical_cert)
-    reps = tuple(kept)
+            kept.setdefault(canonical_cert(cand), cand)
+    reps = tuple(kept[cert] for cert in sorted(kept))
     _REPS_CACHE[key] = reps
     return reps
 

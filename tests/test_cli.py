@@ -5,7 +5,10 @@ import json
 import pytest
 
 from packcrit.cli import main
+from packcrit.errors import CharacterizationError
 from packcrit.graphio import parse_graph6
+from packcrit.verify import THEOREMS
+from test_verify import raising_row
 
 
 def run(capsys, *argv):
@@ -120,6 +123,13 @@ class TestVerify:
         )
         assert code == 0 and "2 instances" in out
 
+    def test_raising_instance_reported(self, capsys, monkeypatch):
+        monkeypatch.setitem(THEOREMS, "lemma1", raising_row(CharacterizationError("no main block")))
+        code, out, err = run(capsys, "verify", "lemma1", "--jobs", "1")
+        assert code == 1 and "lemma1: FAIL (1 disagreements)" in out
+        assert "  DISAGREE C5: predicted=None oracle=None error=CharacterizationError: no main block" in out.splitlines()
+        assert err == ""
+
     def test_parallel_matches_serial(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.ldjson", tmp_path / "b.ldjson"
         run(capsys, "verify", "lemma1", "--jobs", "1", "--out", str(p1))
@@ -160,3 +170,21 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--max-n", "4", "--connected")
         counts = len(out.splitlines())
         assert counts == 1 + 1 + 2 + 6
+
+
+class TestEnvCap:
+    def test_malformed_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("PACKCRIT_MAX_N", "abc")
+        code, out, _ = run(capsys, "chirho", "C5")
+        assert code == 0 and out.splitlines()[0] == "4"
+        for argv in (["enumerate"], ["verify", "lemma1", "--jobs", "1"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.splitlines() == ["error: PACKCRIT_MAX_N must be an integer, got 'abc'"]
+
+    def test_value_sets_default_sizes(self, capsys, monkeypatch):
+        monkeypatch.setenv("PACKCRIT_MAX_N", "4")
+        code, out, _ = run(capsys, "enumerate", "--connected")
+        assert code == 0 and len(out.splitlines()) == 1 + 1 + 2 + 6
+        code, out, _ = run(capsys, "verify", "lemma1", "--jobs", "1")
+        assert code == 0 and "2 instances, cycles up to C4" in out

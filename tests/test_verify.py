@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from packcrit.errors import CharacterizationError, PreconditionError
 from packcrit.graphio import parse_graph6
 from packcrit.verify import THEOREMS, run_sweep
 
@@ -61,3 +66,146 @@ def test_smaller_scale_sweeps_pass():
     ]:
         rep = run_sweep(theorem, **kw)
         assert rep.ok, rep.summary()
+
+
+def _records_digest(records: list[dict]) -> str:
+    lines = sorted(
+        json.dumps({k: v for k, v in rec.items() if k != "micros"}, sort_keys=True)
+        for rec in records
+    )
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+# theorem -> (size overrides, record count, SHA-256 of the sorted records
+# without micros).  Every sweep runs at its default size except where that
+# takes more than about a second; teo1 has no size to lower.
+SWEEP_PINS = {
+    "pro4": ({}, 29, "9ebb3e4c53d7e958ad76ace2f1efff3814c7c01f58411f0349d8f8bf2a71f4b7"),
+    "pro5": ({}, 16, "74cc1b5e42c66ff4c5ab15d23a640b6e07ba5afea956654ba75ca4bf395ace6e"),
+    "pro6": ({}, 1, "65846c4512d6ad972aada5a118d48de0dda72a6054c8357d2790d904d5eecfc9"),
+    "pro7": ({}, 19, "09f8811b392c75fb4e11644d36b22cb08d3eff9d244f02c0d314e4e175d3146c"),
+    "pro8": ({}, 186, "e123409ee5999f60534ae779abca6131ec5e2ee85036965c73c6e848ac408e15"),
+    "pro9": ({"max_vertices": 10}, 27, "3214d4e516e05258c3e069eb4299ed9939e19a186d6faea6c44b9c02cc3c6e5d"),
+    "pro10": ({}, 35, "0ed499021bbabfd062f990398fe126b0f0075ba6967698ff28d58ec2ad2c235d"),
+    "pro11": ({}, 24, "801bada26a83ba42bf0ebda82263e86fd45a6cc6ac21425bc1973754c0334ec1"),
+    "pro12": ({}, 265, "6a039c76b9e109714105d737707e2badff74d01be79e2b25bbb3878d920429c2"),
+    "pro13": ({"max_vertices": 10}, 49, "362654d78cc10b311378059fa36749069aeb413e836f73233113389e593eb754"),
+    "pro15": ({}, 27, "ff4441024a5cd5424c082fcc57dfd75c876015c98e717329ddda88cb6a2a1cf0"),
+    "pro16": ({"max_vertices": 10}, 31, "759232e525c19299678b5920cba326d9307620bf3218aed568017361c4da8cf8"),
+    "lemma4": ({"max_vertices": 6}, 143, "336ccc64f87d6d052c81ba6249caea24d999459ef338bc54837a4cb5bddfa510"),
+    "lemma5": ({}, 5, "6d416a2ca4d923597cf3ba54618f77f195cc3e7484f3388d5090d050bbbff552"),
+    "lemma6": ({}, 1, "60d5acae0c74952b70b39147f072ff65f855ac01ea0b8ada04678566cd94f24d"),
+    "lemma7": ({}, 70, "872e63d491f7518fd9f7591bbf7bcb56b56cf14660e0bf4085feed625758a1ae"),
+    "lemma8": ({"max_vertices": 8}, 41, "1fb2bfa728db84f8309434ffa4ec1af95547836e23b416a94228aec48764888e"),
+    "teo1": ({}, 13, "b493a7e02d286594f4f89bf099269219622c1d29f9868cfd639bf65bbd77d2d3"),
+    "teo3": ({"max_vertices": 8}, 2, "3f5423a2a2cb71ecd4621b6c3baa3b822a0cc6bdd962eb8bb5bdbe4dff4c7555"),
+    "teo4": ({"max_vertices": 8}, 74, "d464cfd56385c4fb2e67c9782937e43b3f066c647075f6204b0196ef83453c6d"),
+    "thm12": ({"base_max": 5}, 52, "d2e499bc673a7a2c0aea890e0f8ffcfa7a09ca0b12e41cb01aba4ab5a5349b5d"),
+    "pro14": ({"base_max": 5}, 52, "0640385351ac362e9e79c8c8db5367c6f8d6e6d212abc3df5ca613783bc05849"),
+    "cor1": ({"base_max": 5}, 52, "eb1eb0a9c9e9795ed62de4b2ae92cc469e601c083312d0a2bccbfe930c25f0c8"),
+    "cor-haynes": ({"max_vertices": 6}, 7, "0b06077d8802039ba723a824273960a63038bc4b1e2eabd9ddb19f3349323a71"),
+    "lem-rad3": ({}, 4, "9da91b064793efcb6c27d8798a35804a23dee6546173cd300afe78b8623d30af"),
+    "teo2": ({}, 996, "fbdb4b0ee5952695a9a3aa4e3b8a435c41c3001706bf23b2d76fce3e0efe082f"),
+    "obsv1": ({}, 995, "c41d3cf462e9f08042b033a41ffbff1175bb2f43373a03baa8650c7939a93c48"),
+    "lemma1": ({}, 10, "a3b142102a7c47ebb19b39e3ff2ed855ea16d7b770c9385cbe2110e90a78ad78"),
+    "lem-mainblock": ({"max_vertices": 8}, 194, "462f976672dd64fcd91c6c9f0df1af20265a59791d9d1bea9bb92d017e7b709a"),
+    "pro2": ({"max_vertices": 8}, 2, "29da3c74cced081fb32f97aefde44b86294089308fd5172877ff4215b7883b28"),
+    "pro3": ({}, 16, "118f708ae3841dacc626d11386dccfb13f35cfe41f01787590c15b993a195be5"),
+}
+
+# A fixed graph6 corpus: every graph on at most 4 vertices, samples of the
+# class and hub sweeps' own instances, and a few graphs no filter keeps
+# (C11, P6, K1,9) or only the hub sweeps keep (W6).
+CORPUS = """
+    @ A? A_ B? BO BW Bw C? CC CE CT CF CV CU C^ CQ C] C~ DuO FsbA? Gs`AK? Gs`AI? GsPLC_
+    HsbDC`? HsqaAAO HspA?OH Cr DqK Cq FsPL? Gs`AM? GsPDC_ HsaCE?o HsaBA@? HsqaC_G
+    Is`AM?@?W IsOkCAOO? Is`ADAOO? IsbAA@?@? DUW D~{ ETxO E~~w FCp`_ FTnqO FV}aG FTxIg
+    F~~~w Gsb@a? HsOG[AG Hs`AH__ HsaA?E_ Is`A?M?g? IsOG[@_O? IsaE@_@G? IsOGS@GW?
+    IsOGY?`?O Is`AKA_C? EsP? GsaCA? HsaCC@? IsaCCA?O? IsaAA@?O? E?rw ETzw F?`Fw FCtNw
+    FCpvw FE~~w FF~~w F^~~w FE~fw FVvfw G?qn~{ G?r`v{ GEl~f{ GTm~f{ GE}jV{ JhCGGC@?K?_
+    EhCG IsaCCA?_? E|fG
+"""
+
+# theorem -> (record count, digest) over CORPUS at the default size: the
+# sweep's hypothesis class plus its extra predicate picks the corpus graphs.
+CORPUS_PINS = {
+    "lemma4": (38, "35ff39153c7b6a1feb54bb1941d105dfea9027ec85639adbabe082d57d9ee9c8"),
+    "lemma8": (12, "9f5510972452e9c30ba7f4dca2adb79fe340a6048cbf232e4a1354f5b0032188"),
+    "teo3": (4, "94ffe825079ced1de165a3a3362627e148e28ed645bd587285f54a18acbc3359"),
+    "teo4": (25, "eaf52ec0f4c6da238abdd2b319b28d029e71cea697e60611fdf462dfdd27934b"),
+    "thm12": (27, "8c922c2caf6bb08eb420cc7912ce5abadf98177edf0c42f1508240cc461b5308"),
+    "pro14": (27, "95e32778be257b0d61f432cd1bc1ee0423b8dbbea69b9be2229095616e0da71c"),
+    "cor1": (27, "70145efe53d6b914e19b97312b593d0df7fe1b37035a52a5fbd9802a5fd2a543"),
+    "cor-haynes": (13, "ee273006ad07c3f5e31ef796a51a66d37f1298156e82fc95c79967d4648769db"),
+    "teo2": (38, "6ed9deb43e9014d28a0e86f4aeb6372834d51c953740e0471dacf22724ad0518"),
+    "obsv1": (37, "f2e457d80c86533002c434fe4cf1eae901d325c15574ac9a6ac164b6b440aa8b"),
+    "lem-mainblock": (39, "c56a78b775da76d1fbc32d71201dd3f5fa074535ae6093f40f243cd8effbbc11"),
+    "pro2": (4, "3987afc660d315ef2f3b9ae98363439104204181c61ed9cd635c218b54c8226a"),
+    "pro3": (7, "dc7e66e686247c9efffbe77b05f3e08e38163d9fb73ec665a8b2425afe6ab287"),
+}
+
+
+@pytest.mark.parametrize(
+    "theorem,corpus",
+    [(t, False) for t in ALL_IDS] + [(t, True) for t in CORPUS_PINS],
+    ids=ALL_IDS + [f"{t}-corpus" for t in CORPUS_PINS],
+)
+def test_records_pinned(theorem, corpus):
+    if corpus:
+        graphs = [parse_graph6(tok) for tok in CORPUS.split()]
+        rep = run_sweep(theorem, corpus=graphs)
+        want = CORPUS_PINS[theorem]
+    else:
+        sizes, *want = SWEEP_PINS[theorem]
+        rep = run_sweep(theorem, **sizes)
+    assert (rep.total, _records_digest(rep.records)) == tuple(want)
+
+
+RECORD_KEYS = {"theorem", "instance_g6", "spec", "predicted", "oracle", "agree", "micros"}
+
+
+def raising_row(exc: Exception):
+    """lemma1's row with an evaluator that raises ``exc`` on C5."""
+
+    def evaluate(G, spec):
+        if spec.n == 5:
+            raise exc
+        return True, True
+
+    return dataclasses.replace(THEOREMS["lemma1"], evaluate=evaluate)
+
+
+@pytest.mark.parametrize("exc", [CharacterizationError("no main block"), PreconditionError("not a cactus")])
+def test_raising_evaluator_is_recorded(monkeypatch, exc):
+    monkeypatch.setitem(THEOREMS, "lemma1", raising_row(exc))
+    rep = run_sweep("lemma1", max_vertices=7)
+    assert rep.total == 5 and not rep.ok
+    [bad] = rep.disagreements
+    assert bad["spec"] == "C5" and bad["agree"] is False
+    assert bad["error"] == f"{type(exc).__name__}: {exc}"
+    assert parse_graph6(bad["instance_g6"]).n == 5
+    assert all(set(r) == RECORD_KEYS for r in rep.records if r is not bad)
+
+
+@pytest.mark.parametrize("jobs,cpus,pool", [(64, 3, [3]), (64, 128, [10]), (2, 128, [2]), (1, 128, [])])
+def test_workers_are_bounded(monkeypatch, jobs, cpus, pool):
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    rep = run_sweep("lemma1", jobs=jobs)
+    assert rep.total == 10 and rep.ok
+    assert asked == pool
