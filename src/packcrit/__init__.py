@@ -24,7 +24,16 @@ from .errors import (
     PreconditionError,
     SpecSyntaxError,
 )
-from .families import BuiltFamily, FamilySpec, build, closed_form_chi_rho, closed_form_critical, parse_spec, recognize
+from .families import (
+    BuiltFamily,
+    FamilySpec,
+    build,
+    closed_form_chi_rho,
+    closed_form_critical,
+    critical_clause,
+    parse_spec,
+    recognize,
+)
 from .graphio import emit_dot, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6, read_graph6_lines
 from .graphs import (
     UNREACHABLE,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CharacterizationError, PreconditionError
-from .families import FamilySpec, recognize
+from .families import critical_clause, recognize
 from .graphs import (
     Graph,
     block_decomposition,
@@ -28,9 +28,6 @@ from .graphs import (
     universal_vertices,
 )
 from .independence import is_alpha_critical
-
-_ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -118,51 +115,20 @@ def classify_cactus_rad2_diam2(G: Graph) -> Verdict:
     )
 
 
-_TEO4_CLAUSES = (
-    ("i", lambda s: s.kind == "path" and s.n == 4),
-    ("ii", lambda s: s.kind == "gqr" and s.r == 5 and s.q == 1
-        and s.pairs[0][0] == 0 and s.pairs[0][1] >= 2),
-    ("iii", lambda s: s.kind == "gqr" and s.r == 4 and s.q == 2
-        and sorted(s.pairs) == [(1, 0), (1, 0)]),
-    ("iv", lambda s: s.kind == "gqr" and s.r == 4 and s.q == 2
-        and all(k == 0 and m >= 1 for k, m in s.pairs)),
-    ("v", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
-        and sorted(s.pairs) == [(1, 0), (1, 0), (1, 0)]),
-    ("vi", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
-        and sorted(s.pairs) == [(0, 1), (2, 0), (2, 0)]),
-    ("vii", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
-        and all(k == 0 and m >= 2 for k, m in s.pairs)),
-    ("viii", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
-        and sorted(s.pairs)[2] == (2, 0)
-        and all(k == 0 and m >= 2 for k, m in sorted(s.pairs)[:2])),
-    ("ix", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
-        and sorted(s.pairs)[1:] == [(2, 0), (2, 0)]
-        and sorted(s.pairs)[0][0] == 0 and sorted(s.pairs)[0][1] >= 2),
-    ("x", lambda s: s.kind == "h" and sorted(s.pairs) == [(0, 1), (2, 0)]),
-    ("xi", lambda s: s.kind == "h" and all(k == 0 and m >= 2 for k, m in s.pairs)),
-    ("xii", lambda s: s.kind == "h" and sorted(s.pairs)[1] == (2, 0)
-        and sorted(s.pairs)[0][0] == 0 and sorted(s.pairs)[0][1] >= 2),
-)
-
-
 def classify_cactus_rad2_diam3(G: Graph) -> Verdict:
     """Criticality of radius-2, diameter-3 cacti via the twelve-clause
-    family characterization; unrecognized members are predicted non-critical."""
+    family characterization (``families.critical_clause``); unrecognized
+    members are predicted non-critical."""
     if not is_cactus(G):
         raise PreconditionError("classifier applies to cactus graphs")
     if radius(G) != 2 or diameter(G) != 3:
         raise PreconditionError("classifier applies at radius 2, diameter 3")
     spec = recognize(G)
-    if spec is None:
-        return Verdict(True, False, "teo4-nomatch", {"family": None})
-    # The recognizer prefers the double-hub reading for P4; both name the
-    # same graph, so normalize for clause matching.
-    if spec.kind == "h" and sorted(spec.pairs) == [(1, 0), (1, 0)]:
-        spec = FamilySpec("path", n=4)
-    for name, pred in _TEO4_CLAUSES:
-        if pred(spec):
-            return Verdict(True, True, f"teo4-({name})", {"family": str(spec)})
-    return Verdict(True, False, "teo4-nomatch", {"family": str(spec)})
+    clause = None if spec is None else critical_clause(spec)
+    evidence = {"family": None if spec is None else str(spec)}
+    if clause is None:
+        return Verdict(True, False, "teo4-nomatch", evidence)
+    return Verdict(True, True, f"teo4-({clause})", evidence)
 
 
 def block_graph_diam3_criterion(G: Graph) -> Verdict:

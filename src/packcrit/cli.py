@@ -194,12 +194,9 @@ def cmd_enumerate(args) -> int:
         diameter=args.diam,
     )
     for G in enumerate_graphs(filt):
-        if args.format == "graph6":
-            print(emit_graph6(G))
-        elif args.format == "edges":
-            sys.stdout.write(emit_edge_list(G) + "\n")
-        else:
-            sys.stdout.write(emit_dot(G))
+        _print_graph(G, args.format)
+        if args.format == "edges":
+            print()  # a blank line ends each edge list
     return 0
 
 

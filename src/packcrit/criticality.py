@@ -8,7 +8,7 @@ with isolated vertices are rejected rather than silently extended.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import PreconditionError
 from .graphs import Edge, Graph, delete_edge, delete_vertex, radius
@@ -31,37 +31,29 @@ class CriticalityReport:
     table: tuple[tuple[Deletion, int], ...]
 
 
+def _deletion_report(G: Graph, deletions: Iterator[tuple[Deletion, Graph]]) -> CriticalityReport:
+    """Solve ``G``, then each (deletion, remaining graph) pair in order; the
+    witness is the first deletion that does not lower the value."""
+    base = chi_rho(G).value
+    table = tuple((deletion, chi_rho(sub).value) for deletion, sub in deletions)
+    witness = next((deletion for deletion, val in table if val >= base), None)
+    return CriticalityReport(base, witness is None, witness, table)
+
+
 def is_edge_critical(G: Graph) -> CriticalityReport:
     """Does every single-edge deletion lower the packing chromatic number?"""
     if G.n == 0:
         raise PreconditionError("criticality undefined on the empty graph")
     if any(G.degree(v) == 0 for v in range(G.n)):
         raise PreconditionError("edge-criticality test requires no isolated vertices")
-    base = chi_rho(G).value
-    table = []
-    witness = None
-    for e in G.edges():
-        val = chi_rho(delete_edge(G, e)).value
-        table.append((e, val))
-        if witness is None and val >= base:
-            witness = e
-    return CriticalityReport(base, witness is None, witness, tuple(table))
+    return _deletion_report(G, ((e, delete_edge(G, e)) for e in G.edges()))
 
 
 def is_vertex_critical(G: Graph) -> CriticalityReport:
     """Does every single-vertex deletion lower the packing chromatic number?"""
     if G.n < 2:
         raise PreconditionError("vertex-criticality test requires at least two vertices")
-    base = chi_rho(G).value
-    table = []
-    witness = None
-    for v in range(G.n):
-        sub, _ = delete_vertex(G, v)
-        val = chi_rho(sub).value
-        table.append((v, val))
-        if witness is None and val >= base:
-            witness = v
-    return CriticalityReport(base, witness is None, witness, tuple(table))
+    return _deletion_report(G, ((v, delete_vertex(G, v)[0]) for v in range(G.n)))
 
 
 def has_leaf_violation(G: Graph) -> Optional[int]:

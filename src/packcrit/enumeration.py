@@ -24,6 +24,7 @@ from .graphs import (
     is_block_graph,
     is_cactus,
     is_connected,
+    is_tree,
     radius,
 )
 
@@ -70,6 +71,27 @@ class EnumerationFilter:
             raise ValueError(f"unknown structure {self.structure!r}")
         if self.min_n < 1 or self.max_n < self.min_n:
             raise ValueError(f"bad order range [{self.min_n}, {self.max_n}]")
+
+    def matches(self, g: Graph) -> bool:
+        """Whether ``g`` lies in the filtered class: order range, structure,
+        and the connectivity / radius / diameter constraints."""
+        if not self.min_n <= g.n <= self.max_n:
+            return False
+        in_class = {"tree": is_tree, "cactus": is_cactus, "block-graph": is_block_graph}.get(self.structure)
+        if in_class is not None and not in_class(g):
+            return False
+        return self._metrics_match(g)
+
+    def _metrics_match(self, g: Graph) -> bool:
+        if self.connected is not None and is_connected(g) != self.connected:
+            return False
+        if self.radius is None and self.diameter is None:
+            return True
+        return (
+            is_connected(g)
+            and (self.radius is None or radius(g) == self.radius)
+            and (self.diameter is None or diameter(g) == self.diameter)
+        )
 
 
 # -- canonical certificates ---------------------------------------------------
@@ -277,16 +299,8 @@ def enumerate_graphs(filt: EnumerationFilter) -> Iterator[Graph]:
     filter, in deterministic (order, canonical certificate) order."""
     for n in range(filt.min_n, filt.max_n + 1):
         for G in representatives(filt.structure, n):
-            if filt.connected is not None and is_connected(G) != filt.connected:
-                continue
-            if filt.radius is not None or filt.diameter is not None:
-                if not is_connected(G):
-                    continue
-                if filt.radius is not None and radius(G) != filt.radius:
-                    continue
-                if filt.diameter is not None and diameter(G) != filt.diameter:
-                    continue
-            yield G
+            if filt._metrics_match(G):
+                yield G
 
 
 def enumerate_cacti(filt: EnumerationFilter) -> Iterator[Graph]:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
-from .errors import DisconnectedGraphError, PreconditionError, SpecSyntaxError
+from .errors import DisconnectedGraphError, SpecSyntaxError
 from .graphs import (
     Graph,
     block_decomposition,
@@ -311,67 +311,61 @@ def closed_form_chi_rho(spec: FamilySpec) -> Optional[int]:
     return None
 
 
-def _sorted_pairs(spec: FamilySpec) -> tuple[Pair, ...]:
-    return tuple(sorted(spec.pairs))
+def _triangles_only(pairs: Iterable[Pair]) -> bool:
+    """Every decorated vertex carries two or more pendant triangles and no
+    pendant edge."""
+    return all(k == 0 and m >= 2 for k, m in pairs)
+
+
+#: The critical radius-2, diameter-3 cacti, clause by clause: (name,
+#: predicate on the spec).  Pendant positions on a triangle main block and on
+#: the two H hubs are interchangeable, so those clauses match sorted pairs.
+_CRITICAL_CLAUSES = (
+    ("i", lambda s: s.kind == "path" and s.n == 4),
+    ("ii", lambda s: s.kind == "gqr" and s.r == 5 and s.q == 1
+        and s.pairs[0][0] == 0 and s.pairs[0][1] >= 2),
+    ("iii", lambda s: s.kind == "gqr" and s.r == 4 and s.q == 2
+        and sorted(s.pairs) == [(1, 0), (1, 0)]),
+    ("iv", lambda s: s.kind == "gqr" and s.r == 4 and s.q == 2
+        and all(k == 0 and m >= 1 for k, m in s.pairs)),
+    ("v", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
+        and sorted(s.pairs) == [(1, 0), (1, 0), (1, 0)]),
+    ("vi", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
+        and sorted(s.pairs) == [(0, 1), (2, 0), (2, 0)]),
+    ("vii", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3 and _triangles_only(s.pairs)),
+    ("viii", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
+        and sorted(s.pairs)[2] == (2, 0) and _triangles_only(sorted(s.pairs)[:2])),
+    ("ix", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
+        and sorted(s.pairs)[1:] == [(2, 0), (2, 0)] and _triangles_only(sorted(s.pairs)[:1])),
+    ("x", lambda s: s.kind == "h" and sorted(s.pairs) == [(0, 1), (2, 0)]),
+    ("xi", lambda s: s.kind == "h" and _triangles_only(s.pairs)),
+    ("xii", lambda s: s.kind == "h" and sorted(s.pairs)[1] == (2, 0) and _triangles_only(sorted(s.pairs)[:1])),
+)
+
+#: The (r, q) shapes of Gqr that are radius-2, diameter-3 cacti.
+_CLAUSE_SCOPE = frozenset({(5, 1), (5, 2), (4, 1), (4, 2), (3, 3), (3, 2)})
+
+
+def critical_clause(spec: FamilySpec) -> Optional[str]:
+    """The first clause, (i) to (xii), of the critical radius-2 diameter-3
+    cactus list that ``spec`` satisfies, by name, or None.  H(1,0;1,0) is
+    P4 and matches clause (i)."""
+    if spec.kind == "h" and sorted(spec.pairs) == [(1, 0), (1, 0)]:
+        spec = FamilySpec("path", n=4)
+    return next((name for name, pred in _CRITICAL_CLAUSES if pred(spec)), None)
 
 
 def closed_form_critical(spec: FamilySpec) -> Optional[bool]:
-    """The family's criticality verdict where one is characterized.
-
-    Pendant positions on a triangle main block and on the two H hubs are
-    interchangeable, so those clauses match parameter multisets.
-    """
+    """The family's criticality verdict where one is characterized: complete
+    graphs, P2 and P4, and the radius-2 diameter-3 members of H and Gqr,
+    which are critical exactly when ``critical_clause`` names a clause."""
     kind = spec.kind
     if kind == "complete":
         return spec.n >= 2 or None
     if kind == "path":
-        if spec.n == 4:
-            return True
-        if spec.n == 2:
-            return True  # P2 is K2
-        return None
-    if kind == "gqr":
-        if spec.r == 5 and spec.q == 1:
-            k1, m1 = spec.pairs[0]
-            return k1 == 0 and m1 >= 2
-        if spec.r == 5 and spec.q == 2:
-            return False
-        if spec.r == 4 and spec.q == 1:
-            return False
-        if spec.r == 4 and spec.q == 2:
-            (k1, m1), (k2, m2) = spec.pairs
-            return (k1 == k2 == 1 and m1 == m2 == 0) or (
-                k1 == k2 == 0 and m1 >= 1 and m2 >= 1
-            )
-        if spec.r == 3 and spec.q == 3:
-            ps = _sorted_pairs(spec)
-            if ps == ((1, 0), (1, 0), (1, 0)):
-                return True
-            if ps == ((0, 1), (2, 0), (2, 0)):
-                return True
-            if all(k == 0 and m >= 2 for k, m in ps):
-                return True
-            if ps[-1] == (2, 0) and all(k == 0 and m >= 2 for k, m in ps[:2]):
-                return True
-            if ps[-2:] == ((2, 0), (2, 0)) and ps[0][0] == 0 and ps[0][1] >= 2:
-                return True
-            return False
-        if spec.r == 3 and spec.q == 2:
-            # In the characterized class (radius 2, diameter 3, triangle main
-            # block) and absent from the critical list.
-            return False
-        return None
-    if kind == "h":
-        ps = _sorted_pairs(spec)
-        if ps == ((1, 0), (1, 0)):
-            return True  # this is P4
-        if ps == ((0, 1), (2, 0)):
-            return True
-        if all(k == 0 and m >= 2 for k, m in ps):
-            return True
-        if ps[-1] == (2, 0) and ps[0][0] == 0 and ps[0][1] >= 2:
-            return True
-        return False
+        return True if spec.n in (2, 4) else None  # P2 is K2
+    if kind == "h" or (kind == "gqr" and (spec.r, spec.q) in _CLAUSE_SCOPE):
+        return critical_clause(spec) is not None
     return None
 
 
@@ -380,8 +374,6 @@ def closed_form_critical(spec: FamilySpec) -> Optional[bool]:
 
 def _degree_multiset(G: Graph) -> list[int]:
     return sorted(G.degree(v) for v in range(G.n))
-
-
 
 
 def _recognize_simple(G: Graph) -> Optional[FamilySpec]:
@@ -494,32 +486,13 @@ def _read_gqr_with_main(G: Graph, bd, main) -> Optional[FamilySpec]:
 
 def _recognize_h(G: Graph) -> Optional[FamilySpec]:
     bd = block_decomposition(G)
-    if not all(b.is_k2 or (b.is_cycle and b.order == 3) for b in bd.blocks):
-        return None
-    cuts = sorted(bd.cut_vertices)
-    if len(cuts) != 2:
-        return None
-    u1, u2 = cuts
-    if not G.has_edge(u1, u2):
-        return None
-    if not any(b.vertices == frozenset((u1, u2)) for b in bd.blocks):
-        return None  # the hub edge must be a bridge block of its own
-    counts: dict[int, list[int]] = {u1: [0, 0], u2: [0, 0]}
-    for b in bd.blocks:
-        if b.vertices == frozenset((u1, u2)):
-            continue
-        shared = b.vertices & {u1, u2}
-        if len(shared) != 1:
-            return None
-        anchor = next(iter(shared))
-        if b.is_k2:
-            counts[anchor][0] += 1
-        else:
-            counts[anchor][1] += 1
-    p1 = (counts[u1][0], counts[u1][1])
-    p2 = (counts[u2][0], counts[u2][1])
-    if p1[0] + p1[1] < 1 or p2[0] + p2[1] < 1:
-        return None
+    hubs = bd.cut_vertices
+    if len(hubs) != 2 or not any(b.vertices == hubs for b in bd.blocks):
+        return None  # two hubs, and the hub edge a bridge block of its own
+    counts = _pendant_profile(bd, hubs)
+    if counts is None or set(counts) != hubs:
+        return None  # a non-hub block off the hubs, or a hub without pendants
+    p1, p2 = (tuple(counts[u]) for u in sorted(hubs))
     return FamilySpec("h", pairs=min((p1, p2), (p2, p1)))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
 
 from .errors import DisconnectedGraphError, GraphInputError
@@ -247,71 +248,6 @@ def is_connected(G: Graph) -> bool:
 # -- articulation structure -------------------------------------------------
 
 
-def _dfs_structure(G: Graph):
-    """Iterative DFS lowlink pass shared by cut-vertex/bridge/block code.
-
-    Returns (disc, low, parent, root_children, finish_stack) where
-    finish_stack lists (child, parent) tree edges in finish order.
-    """
-    n = G.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    root_children = [0] * n
-    finish: list[tuple[int, int]] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, iter(G.neighbors(root)))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    parent[w] = v
-                    if v == root:
-                        root_children[root] += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, iter(G.neighbors(w))))
-                    advanced = True
-                    break
-                if w != parent[v] and disc[w] < low[v]:
-                    low[v] = disc[w]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    finish.append((v, p))
-    return disc, low, parent, root_children, finish
-
-
-def cut_vertices(G: Graph) -> frozenset[int]:
-    """Articulation points (over all components)."""
-    disc, low, parent, root_children, finish = _dfs_structure(G)
-    cuts = set()
-    for child, p in finish:
-        if parent[p] == -1:
-            continue  # root handled by child count below
-        if low[child] >= disc[p]:
-            cuts.add(p)
-    for v in range(G.n):
-        if parent[v] == -1 and root_children[v] >= 2:
-            cuts.add(v)
-    return frozenset(cuts)
-
-
-def bridges(G: Graph) -> frozenset[Edge]:
-    """Cut edges (over all components)."""
-    disc, low, parent, _children, finish = _dfs_structure(G)
-    return frozenset(_norm(child, p) for child, p in finish if low[child] > disc[p])
-
-
 @dataclass(frozen=True)
 class Block:
     """A maximal subgraph without a cut vertex, as a vertex set plus its
@@ -354,71 +290,89 @@ class BlockDecomposition:
         return [b for b in self.blocks if v in b.vertices]
 
 
-def block_decomposition(G: Graph) -> BlockDecomposition:
-    """Decompose a connected graph into its blocks.
+def _edge_blocks(G: Graph) -> list[list[Edge]]:
+    """The edge lists of the blocks that contain an edge, over all components.
 
-    Edge-stack variant of the lowlink DFS: when a child subtree cannot reach
-    above its attachment point, the edges accumulated since the tree edge to
-    that child form one block.
+    Lowlink DFS with an edge stack (Hopcroft and Tarjan), started from every
+    unvisited vertex: when a child subtree cannot reach above its attachment
+    point, the edges pushed since the tree edge to that child form one
+    block.  Isolated vertices lie in none of the returned blocks.
     """
-    if G.n == 0 or not is_connected(G):
-        raise DisconnectedGraphError("block decomposition requires a connected, non-empty graph")
     n = G.n
-    if n == 1:
-        return BlockDecomposition((Block(frozenset({0}), frozenset()),), frozenset(), ())
-
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
+    pushed_at = [0] * n  # estack position of the tree edge into each vertex
     estack: list[Edge] = []
-    raw_blocks: list[list[Edge]] = []
+    blocks: list[list[Edge]] = []
     timer = 0
-    root = 0
-    disc[root] = low[root] = timer
-    timer += 1
-    stack = [(root, iter(G.neighbors(root)))]
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if disc[w] == -1:
-                parent[w] = v
-                estack.append((v, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, iter(G.neighbors(w))))
-                advanced = True
-                break
-            if w != parent[v] and disc[w] < disc[v]:
-                estack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    blk = []
-                    while True:
-                        e = estack.pop()
-                        blk.append(e)
-                        if e == (p, v):
-                            break
-                    raw_blocks.append(blk)
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, iter(G.neighbors(root)))]
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if disc[w] == -1:
+                    parent[w] = v
+                    pushed_at[w] = len(estack)
+                    estack.append((v, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, iter(G.neighbors(w))))
+                    advanced = True
+                    break
+                if w != parent[v] and disc[w] < disc[v]:
+                    estack.append((v, w))
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            if not advanced:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:
+                        blocks.append(estack[pushed_at[v]:])
+                        del estack[pushed_at[v]:]
+    return blocks
 
-    blocks = []
-    for blk in raw_blocks:
-        vs = frozenset(x for e in blk for x in e)
-        blocks.append(Block(vs, frozenset(_norm(*e) for e in blk)))
-    blocks.sort(key=lambda b: sorted(b.vertices))
 
-    counts: dict[int, int] = {}
-    for b in blocks:
-        for v in b.vertices:
-            counts[v] = counts.get(v, 0) + 1
-    cuts = frozenset(v for v, c in counts.items() if c >= 2)
+def _shared_vertices(vertex_sets: Iterable[frozenset[int]]) -> frozenset[int]:
+    """Vertices lying in two or more of the blocks: the cut vertices."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for vs in vertex_sets:
+        shared |= seen & vs
+        seen |= vs
+    return frozenset(shared)
+
+
+def cut_vertices(G: Graph) -> frozenset[int]:
+    """Articulation points (over all components)."""
+    return _shared_vertices(frozenset(chain.from_iterable(blk)) for blk in _edge_blocks(G))
+
+
+def bridges(G: Graph) -> frozenset[Edge]:
+    """Cut edges (over all components): the edges of the one-edge blocks."""
+    return frozenset(_norm(*blk[0]) for blk in _edge_blocks(G) if len(blk) == 1)
+
+
+def block_decomposition(G: Graph) -> BlockDecomposition:
+    """Decompose a connected graph into its blocks, ordered by sorted vertex
+    list."""
+    if G.n == 0 or not is_connected(G):
+        raise DisconnectedGraphError("block decomposition requires a connected, non-empty graph")
+    if G.n == 1:
+        return BlockDecomposition((Block(frozenset({0}), frozenset()),), frozenset(), ())
+    blocks = sorted(
+        (Block(frozenset(chain.from_iterable(blk)), frozenset(_norm(*e) for e in blk)) for blk in _edge_blocks(G)),
+        key=lambda b: sorted(b.vertices),
+    )
+    cuts = _shared_vertices(b.vertices for b in blocks)
     tree = tuple(
         (i, v) for i, b in enumerate(blocks) for v in sorted(b.vertices) if v in cuts
     )

@@ -79,18 +79,14 @@ def _lexmin_witness(bits: Sequence[int], mask: int, size: int) -> frozenset[int]
     return frozenset(chosen)
 
 
-def _graph_bits(G: Graph) -> tuple[int, ...]:
-    return G.adjacency_bits()
-
-
 def alpha(G: Graph) -> int:
     """Independence number."""
-    return mis_size_bits(_graph_bits(G), (1 << G.n) - 1)
+    return mis_size_bits(G.adjacency_bits(), (1 << G.n) - 1)
 
 
 def max_independent_set(G: Graph) -> MisResult:
     """Exact alpha with the lexicographically smallest witness set."""
-    bits = _graph_bits(G)
+    bits = G.adjacency_bits()
     full = (1 << G.n) - 1
     a = mis_size_bits(bits, full)
     return MisResult(a, _lexmin_witness(bits, full, a))
@@ -122,7 +118,7 @@ def haynes_check(G: Graph) -> bool:
     alpha-criticality: for each edge uv there is a maximum independent set
     containing u whose only contact with N(v) is u itself (and symmetrically).
     """
-    bits = _graph_bits(G)
+    bits = G.adjacency_bits()
     full = (1 << G.n) - 1
     a = mis_size_bits(bits, full)
 
@@ -135,7 +131,7 @@ def haynes_check(G: Graph) -> bool:
 
 def mis_avoiding(G: Graph, forbidden: Iterable[int]) -> Optional[MisResult]:
     """A maximum independent set of G disjoint from ``forbidden``, if any."""
-    bits = _graph_bits(G)
+    bits = G.adjacency_bits()
     full = (1 << G.n) - 1
     banned = 0
     for v in forbidden:

@@ -39,24 +39,18 @@ def vertex_profiles(G: Graph) -> list[tuple]:
     return out
 
 
-def find_isomorphism(
-    G: Graph,
-    H: Graph,
-    profiles_g: Optional[list[tuple]] = None,
-    profiles_h: Optional[list[tuple]] = None,
-) -> Optional[dict[int, int]]:
+def find_isomorphism(G: Graph, H: Graph) -> Optional[dict[int, int]]:
     """An edge-preserving bijection V(G) -> V(H), or None.
 
-    Precomputed vertex profiles may be passed in by callers that compare one
-    graph against many.  The returned mapping is re-verified against both
-    edge sets before being handed back.
+    The returned mapping is re-verified against both edge sets before being
+    handed back.
     """
     if G.n != H.n or G.edge_count != H.edge_count:
         return None
     if G.n == 0:
         return {}
-    sig_g = profiles_g if profiles_g is not None else vertex_profiles(G)
-    sig_h = profiles_h if profiles_h is not None else vertex_profiles(H)
+    sig_g = vertex_profiles(G)
+    sig_h = vertex_profiles(H)
     if Counter(sig_g) != Counter(sig_h):
         return None
 

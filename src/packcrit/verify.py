@@ -43,9 +43,7 @@ from .graphs import (
     delete_vertex,
     diameter,
     induced_subgraph,
-    is_cactus,
     is_connected,
-    is_tree,
     radius,
     universal_vertices,
 )
@@ -206,26 +204,10 @@ def _class(extra: Optional[Callable[[Graph], bool]] = None, **filter_args):
         if cfg["corpus"] is None:
             graphs = enumerate_graphs(filt)
         else:
-            graphs = (g for g in cfg["corpus"] if _matches_filter(g, filt))
+            graphs = (g for g in cfg["corpus"] if filt.matches(g))
         return [{"g6": emit_graph6(g)} for g in graphs if extra is None or extra(g)]
 
     return payloads
-
-
-def _matches_filter(g: Graph, filt: EnumerationFilter) -> bool:
-    if not (filt.min_n <= g.n <= filt.max_n):
-        return False
-    if filt.structure == "tree" and not is_tree(g):
-        return False
-    if filt.structure == "cactus" and not is_cactus(g):
-        return False
-    if filt.connected is not None and is_connected(g) != filt.connected:
-        return False
-    if filt.radius is not None and (not is_connected(g) or radius(g) != filt.radius):
-        return False
-    if filt.diameter is not None and (not is_connected(g) or diameter(g) != filt.diameter):
-        return False
-    return True
 
 
 def _hub_plus(base: Graph) -> Graph:

@@ -150,3 +150,45 @@ def connected_counts_from_all(all_counts: list[int]) -> list[int]:
         divisor_part = sum(d * c[d] for d in range(1, n) if n % d == 0)
         c[n] = (b[n] - divisor_part) // n
     return c
+
+
+# -- brute-force cut vertices and bridges ------------------------------------------
+
+
+def _component_count(vertices: set[int], edges: list[tuple[int, int]]) -> int:
+    """Union-find over an explicit vertex set and edge list."""
+    root = {v: v for v in vertices}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    count = len(vertices)
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+            count -= 1
+    return count
+
+
+def brute_cut_vertices(G: Graph) -> frozenset[int]:
+    """Vertices whose deletion raises the number of components."""
+    vertices = set(range(G.n))
+    edges = G.edges()
+    before = _component_count(vertices, edges)
+    return frozenset(
+        v for v in vertices
+        if _component_count(vertices - {v}, [e for e in edges if v not in e]) > before
+    )
+
+
+def brute_bridges(G: Graph) -> frozenset[tuple[int, int]]:
+    """Edges whose deletion raises the number of components."""
+    vertices = set(range(G.n))
+    edges = G.edges()
+    before = _component_count(vertices, edges)
+    return frozenset(
+        e for e in edges if _component_count(vertices, [f for f in edges if f != e]) > before
+    )

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from packcrit.enumeration import (
+    STRUCTURES,
     EnumerationFilter,
     cacti_by_block_attachment,
     canonical_cert,
@@ -97,6 +98,33 @@ class TestFilters:
         got = list(enumerate_graphs(EnumerationFilter(max_n=4, min_n=4, connected=False)))
         assert all(not is_connected(g) for g in got)
         assert len(got) == 11 - 6
+
+
+C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+# Order / connectivity / radius / diameter options the filter-equivalence test crosses
+# with every structure.
+METRIC_OPTIONS = [
+    {}, {"connected": True}, {"connected": False}, {"radius": 1}, {"radius": 2},
+    {"diameter": 2}, {"diameter": 3}, {"radius": 2, "diameter": 3}, {"min_n": 3, "connected": True},
+]
+
+
+class TestFilterMatches:
+    def test_block_graph_rejects_c4(self):
+        assert not EnumerationFilter(max_n=5, structure="block-graph").matches(C4)
+        assert EnumerationFilter(max_n=5, structure="cactus").matches(C4)
+
+    def test_order_range(self):
+        assert not EnumerationFilter(max_n=3).matches(C4)
+        assert not EnumerationFilter(max_n=6, min_n=5).matches(C4)
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    @pytest.mark.parametrize("options", METRIC_OPTIONS, ids=repr)
+    def test_selects_what_enumeration_streams(self, all_graphs_upto_6, structure, options):
+        filt = EnumerationFilter(max_n=6, structure=structure, **options)
+        selected = sorted(canonical_cert(g) for g in all_graphs_upto_6 if filt.matches(g))
+        assert selected == sorted(canonical_cert(g) for g in enumerate_graphs(filt))
 
 
 class TestDeterminism:

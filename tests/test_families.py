@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from packcrit.classify import classify_cactus_rad2_diam3
 from packcrit.criticality import is_edge_critical
 from packcrit.errors import SpecSyntaxError
 from packcrit.families import (
@@ -9,6 +10,7 @@ from packcrit.families import (
     build,
     closed_form_chi_rho,
     closed_form_critical,
+    critical_clause,
     parse_spec,
     recognize,
 )
@@ -23,6 +25,27 @@ def gqr(r, *pairs):
 
 def hspec(p1, p2):
     return FamilySpec("h", pairs=(p1, p2))
+
+
+def decorations(q, budget):
+    """Every q-tuple of (k, m) pairs with k + m >= 1 whose pendant vertices
+    (k + 2m per pair) total at most ``budget``."""
+    if q == 0:
+        yield ()
+        return
+    for k in range(budget + 1):
+        for m in range((budget - k) // 2 + 1):
+            if k + m:
+                for rest in decorations(q - 1, budget - k - 2 * m):
+                    yield ((k, m),) + rest
+
+
+def decorated_specs(max_v):
+    """Every Gqr and H spec on at most ``max_v`` vertices."""
+    for r in (3, 4, 5):
+        for q in range(1, r + 1):
+            yield from (gqr(r, *pairs) for pairs in decorations(q, max_v - r))
+    yield from (hspec(*pairs) for pairs in decorations(2, max_v - 2))
 
 
 class TestGrammar:
@@ -159,6 +182,30 @@ class TestClosedForms:
         ]:
             spec = parse_spec(text)
             assert closed_form_critical(spec) == is_edge_critical(build(spec).graph).critical
+
+    def test_criticality_scope_is_radius2_diameter3(self):
+        # The Gqr/H verdicts come from the clause list of radius-2 diameter-3
+        # cacti: present exactly there, and equal to the classifier's.
+        specs = list(decorated_specs(11))
+        in_scope = 0
+        for spec in specs:
+            g = build(spec).graph
+            verdict = closed_form_critical(spec)
+            if radius(g) == 2 and diameter(g) == 3:
+                in_scope += 1
+                assert verdict is not None, spec
+                assert classify_cactus_rad2_diam3(g).predicted_critical is verdict, spec
+            else:
+                assert verdict is None, spec
+        assert (len(specs), in_scope) == (1189, 767)
+
+    @pytest.mark.parametrize(
+        "text, clause",
+        [("P4", "i"), ("H(1,0;1,0)", "i"), ("G1^5(0,2)", "ii"), ("G3^3(0,2;2,0;2,0)", "ix"),
+         ("H(0,3;2,0)", "xii"), ("G1^5(1,2)", None), ("C5", None)],
+    )
+    def test_critical_clause(self, text, clause):
+        assert critical_clause(parse_spec(text)) == clause
 
 
 class TestRecognize:

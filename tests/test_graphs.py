@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -26,6 +28,7 @@ from packcrit.graphs import (
     radius,
     universal_vertices,
 )
+from oracles import brute_bridges, brute_cut_vertices
 from strategies import graphs
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -188,6 +191,23 @@ class TestCutsAndBridges:
         t2 = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
         assert cut_vertices(t2) == {0}
         assert bridges(t2) == frozenset()
+
+    def test_disconnected(self):
+        # P3 plus a disjoint K2 plus an isolated vertex
+        g = Graph(6, [(0, 1), (1, 2), (3, 4)])
+        assert cut_vertices(g) == {1}
+        assert bridges(g) == {(0, 1), (1, 2), (3, 4)}
+
+    def test_match_deletion_oracle(self, all_graphs_upto_6):
+        # Every class up to order 6, disconnected ones included, as
+        # enumerated and under a fixed random relabeling.
+        rng = random.Random(6)
+        for g in all_graphs_upto_6:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            for h in (g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])):
+                assert cut_vertices(h) == brute_cut_vertices(h), h
+                assert bridges(h) == brute_bridges(h), h
 
 
 class TestBlocks:
