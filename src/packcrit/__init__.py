@@ -51,7 +51,7 @@ from .graphs import (
     delete_edge,
     delete_vertex,
     diameter,
-    eccentricity,
+    eccentricities,
     induced_subgraph,
     is_block_graph,
     is_cactus,

@@ -16,10 +16,9 @@ from .families import critical_clause, recognize
 from .graphs import (
     Graph,
     block_decomposition,
-    center,
     components,
     delete_vertex,
-    diameter,
+    eccentricities,
     induced_subgraph,
     is_block_graph,
     is_cactus,
@@ -55,9 +54,9 @@ def classify_radius1(G: Graph) -> Verdict:
     not depend on which universal vertex is stripped; disagreement between
     choices would refute the characterization and raises.
     """
-    if G.n == 0 or not is_connected(G) or radius(G) != 1:
+    if G.n == 0 or not is_connected(G) or min(eccs := eccentricities(G)) != 1:
         raise PreconditionError("classifier applies to connected graphs of radius 1")
-    if diameter(G) == 1:
+    if max(eccs) == 1:
         return Verdict(True, True, "thm12-complete", {"n": G.n})
 
     per_u = []
@@ -103,7 +102,8 @@ def classify_cactus_rad2_diam2(G: Graph) -> Verdict:
     """
     if not is_cactus(G):
         raise PreconditionError("classifier applies to cactus graphs")
-    if radius(G) != 2 or diameter(G) != 2:
+    eccs = eccentricities(G)
+    if min(eccs) != 2 or max(eccs) != 2:
         raise PreconditionError("classifier applies at radius 2, diameter 2")
     degs = sorted(G.degree(v) for v in range(G.n))
     if G.n == 5 and degs == [2] * 5 and G.edge_count == 5:
@@ -121,7 +121,8 @@ def classify_cactus_rad2_diam3(G: Graph) -> Verdict:
     members are predicted non-critical."""
     if not is_cactus(G):
         raise PreconditionError("classifier applies to cactus graphs")
-    if radius(G) != 2 or diameter(G) != 3:
+    eccs = eccentricities(G)
+    if min(eccs) != 2 or max(eccs) != 3:
         raise PreconditionError("classifier applies at radius 2, diameter 3")
     spec = recognize(G)
     clause = None if spec is None else critical_clause(spec)
@@ -145,9 +146,11 @@ def block_graph_diam3_criterion(G: Graph) -> Verdict:
     """
     if not is_block_graph(G):
         raise PreconditionError("criterion applies to block graphs")
-    if diameter(G) != 3:
+    eccs = eccentricities(G)
+    if max(eccs) != 3:
         raise PreconditionError("criterion applies at diameter 3")
-    ctr = center(G)
+    rad = min(eccs)
+    ctr = frozenset(v for v, e in enumerate(eccs) if e == rad)
     bd = block_decomposition(G)
     central = None
     for b in bd.blocks:

@@ -26,7 +26,7 @@ from .enumeration import EnumerationFilter, enumerate_graphs, env_cap
 from .errors import GraphInputError, SpecSyntaxError
 from .families import build, parse_spec
 from .graphio import emit_dot, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6, read_graph6_lines
-from .graphs import Graph, diameter, is_block_graph, is_cactus, is_connected, radius
+from .graphs import Graph, eccentricities, is_block_graph, is_cactus, is_connected
 from .packing import chi_rho
 from .verify import THEOREMS, run_sweep
 
@@ -103,14 +103,12 @@ def cmd_critical(args) -> int:
 def _auto_classify(G: Graph) -> Optional[Verdict]:
     if not is_connected(G) or G.n == 0:
         return None
-    rad = radius(G)
-    diam = diameter(G)
+    eccs = eccentricities(G)
+    rad, diam = min(eccs), max(eccs)
     if rad == 1:
         return classify_radius1(G)
-    if is_cactus(G) and rad == 2 and diam == 2:
-        return classify_cactus_rad2_diam2(G)
-    if is_cactus(G) and rad == 2 and diam == 3:
-        return classify_cactus_rad2_diam3(G)
+    if rad == 2 and diam <= 3 and is_cactus(G):
+        return classify_cactus_rad2_diam2(G) if diam == 2 else classify_cactus_rad2_diam3(G)
     if is_block_graph(G) and diam == 3:
         return block_graph_diam3_criterion(G)
     return None
@@ -178,17 +176,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    structure = "all"
-    if args.cactus:
-        structure = "cactus"
-    elif args.tree:
-        structure = "tree"
-    elif args.block_graph:
-        structure = "block-graph"
     filt = EnumerationFilter(
         max_n=_size(args.max_n, fallback=8),
         min_n=args.min_n,
-        structure=structure,
+        structure=args.structure,
         connected=True if args.connected else None,
         radius=args.rad,
         diameter=args.diam,
@@ -242,9 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream isomorph-free graphs")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--min-n", type=int, default=1)
-    p.add_argument("--cactus", action="store_true")
-    p.add_argument("--tree", action="store_true")
-    p.add_argument("--block-graph", action="store_true")
+    shape = p.add_mutually_exclusive_group()
+    for structure in ("cactus", "tree", "block-graph"):
+        shape.add_argument(f"--{structure}", dest="structure", action="store_const", const=structure, default="all")
     p.add_argument("--connected", action="store_true")
     p.add_argument("--rad", type=int, default=None)
     p.add_argument("--diam", type=int, default=None)

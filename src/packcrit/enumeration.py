@@ -20,12 +20,11 @@ from typing import Iterator, Optional
 from .errors import CapExceededError
 from .graphs import (
     Graph,
-    diameter,
+    eccentricities,
     is_block_graph,
     is_cactus,
     is_connected,
     is_tree,
-    radius,
 )
 
 STRUCTURES = ("all", "tree", "cactus", "block-graph")
@@ -83,15 +82,17 @@ class EnumerationFilter:
         return self._metrics_match(g)
 
     def _metrics_match(self, g: Graph) -> bool:
-        if self.connected is not None and is_connected(g) != self.connected:
-            return False
-        if self.radius is None and self.diameter is None:
+        wants_metrics = self.radius is not None or self.diameter is not None
+        if self.connected is None and not wants_metrics:
             return True
-        return (
-            is_connected(g)
-            and (self.radius is None or radius(g) == self.radius)
-            and (self.diameter is None or diameter(g) == self.diameter)
-        )
+        if not is_connected(g):
+            return self.connected is False and not wants_metrics
+        if self.connected is False:
+            return False
+        if not wants_metrics:
+            return True
+        eccs = eccentricities(g)
+        return self.radius in (None, min(eccs)) and self.diameter in (None, max(eccs))
 
 
 # -- canonical certificates ---------------------------------------------------

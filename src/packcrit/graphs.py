@@ -142,40 +142,28 @@ def all_pairs_distances(G: Graph) -> DistanceMatrix:
 # -- metrics ---------------------------------------------------------------
 
 
-def eccentricity(G: Graph, u: int) -> int:
-    """Maximum distance from ``u``; requires a connected, non-empty graph."""
-    if G.n == 0:
-        raise DisconnectedGraphError("eccentricity undefined on the empty graph")
-    row = _bfs_row(G, u)
-    ecc = max(row)
-    if ecc == UNREACHABLE:
-        raise DisconnectedGraphError("eccentricity undefined: graph is disconnected")
-    return int(ecc)
-
-
-def _eccentricities(G: Graph) -> list[int]:
+def eccentricities(G: Graph) -> tuple[int, ...]:
+    """Eccentricity of every vertex, read from one distance table; requires
+    a connected, non-empty graph."""
     if G.n == 0:
         raise DisconnectedGraphError("metric undefined on the empty graph")
-    out = []
-    for v in range(G.n):
-        ecc = max(_bfs_row(G, v))
-        if ecc == UNREACHABLE:
-            raise DisconnectedGraphError("metric undefined: graph is disconnected")
-        out.append(int(ecc))
-    return out
+    eccs = tuple(max(row) for row in all_pairs_distances(G).rows)
+    if UNREACHABLE in eccs:
+        raise DisconnectedGraphError("metric undefined: graph is disconnected")
+    return eccs
 
 
 def radius(G: Graph) -> int:
-    return min(_eccentricities(G))
+    return min(eccentricities(G))
 
 
 def diameter(G: Graph) -> int:
-    return max(_eccentricities(G))
+    return max(eccentricities(G))
 
 
 def center(G: Graph) -> frozenset[int]:
     """Vertices of minimum eccentricity."""
-    eccs = _eccentricities(G)
+    eccs = eccentricities(G)
     rad = min(eccs)
     return frozenset(v for v in range(G.n) if eccs[v] == rad)
 
@@ -387,22 +375,26 @@ def is_tree(G: Graph) -> bool:
     return G.n >= 1 and G.edge_count == G.n - 1 and is_connected(G)
 
 
-def is_cactus(G: Graph) -> bool:
-    """Connected with every block a cycle or a K2.  Trees qualify."""
-    if G.n == 0 or not is_connected(G):
-        return False
+def _every_block(G: Graph, ok) -> bool:
+    """Connected, non-empty, and every block satisfies ``ok``.  K1 always
+    qualifies: its only block is an edgeless singleton."""
     if G.n == 1:
         return True
-    return all(b.is_k2 or b.is_cycle for b in block_decomposition(G).blocks)
+    try:
+        blocks = block_decomposition(G).blocks
+    except DisconnectedGraphError:
+        return False
+    return all(ok(b) for b in blocks)
+
+
+def is_cactus(G: Graph) -> bool:
+    """Connected with every block a cycle or a K2.  Trees qualify."""
+    return _every_block(G, lambda b: b.is_k2 or b.is_cycle)
 
 
 def is_block_graph(G: Graph) -> bool:
     """Connected with every block complete."""
-    if G.n == 0 or not is_connected(G):
-        return False
-    if G.n == 1:
-        return True
-    return all(b.is_complete for b in block_decomposition(G).blocks)
+    return _every_block(G, lambda b: b.is_complete)
 
 
 def universal_vertices(G: Graph) -> frozenset[int]:

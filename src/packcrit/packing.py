@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DisconnectedGraphError, PreconditionError
 from .graphs import (
+    DistanceMatrix,
     Graph,
     all_pairs_distances,
     components,
@@ -22,7 +23,7 @@ from .graphs import (
     induced_subgraph,
     is_connected,
 )
-from .independence import mis_size_bits
+from .independence import alpha, mis_size_bits
 
 
 @dataclass(frozen=True)
@@ -82,18 +83,34 @@ def verify_packing_coloring(G: Graph, coloring: PackingColoring) -> PackingCheck
     return PackingCheck(True, None)
 
 
+def _ball_masks(dm: DistanceMatrix, i: int) -> list[int]:
+    """Per-vertex bitmask of the other vertices within distance ``i``."""
+    return [sum(1 << u for u, duv in enumerate(row) if u != v and duv <= i) for v, row in enumerate(dm.rows)]
+
+
 def max_i_packing(G: Graph, i: int) -> int:
     """Exact maximum size of an i-packing (alpha of the i-th distance power)."""
     if G.n < 1:
         raise PreconditionError("i-packing size undefined on the empty graph")
     if i < 1:
         raise ValueError(f"packing index must be positive, got {i}")
+    return mis_size_bits(_ball_masks(all_pairs_distances(G), i), (1 << G.n) - 1)
+
+
+def _packing_bounds(G: Graph) -> tuple[int, list[list[int]], list[int]]:
+    """Counting bound, ball masks and class caps of a connected graph, all
+    read from one distance table.
+
+    ``masks[i]`` holds the distance-<=i balls and ``caps[i]`` the exact
+    maximum i-packing size of each color i below the diameter d; index 0 is
+    an empty placeholder, so ``len(masks) == d``.
+    """
     dm = all_pairs_distances(G)
-    bits = []
-    for v in range(G.n):
-        row = dm.row(v)
-        bits.append(sum(1 << u for u in range(G.n) if u != v and row[u] <= i))
-    return mis_size_bits(bits, (1 << G.n) - 1)
+    d = max(max(row) for row in dm.rows)
+    full = (1 << G.n) - 1
+    masks = [_ball_masks(dm, i) if i else [0] * G.n for i in range(d)]
+    caps = [0] + [mis_size_bits(m, full) for m in masks[1:]]
+    return max(1, G.n - sum(caps) + d - 1), masks, caps
 
 
 def chi_rho_lower_bound(G: Graph) -> int:
@@ -101,9 +118,7 @@ def chi_rho_lower_bound(G: Graph) -> int:
     i-packing maxima and every further class is a singleton."""
     if G.n == 0 or not is_connected(G):
         raise DisconnectedGraphError("lower bound requires a connected, non-empty graph")
-    d = diameter(G)
-    cap_sum = sum(max_i_packing(G, i) for i in range(1, d))
-    return max(1, G.n - cap_sum + d - 1)
+    return _packing_bounds(G)[0]
 
 
 def diam2_formula(G: Graph) -> int:
@@ -112,28 +127,25 @@ def diam2_formula(G: Graph) -> int:
         raise DisconnectedGraphError("formula requires a connected graph")
     if diameter(G) != 2:
         raise PreconditionError("formula applies only at diameter 2")
-    return G.n - mis_size_bits(G.adjacency_bits(), (1 << G.n) - 1) + 1
+    return G.n - alpha(G) + 1
 
 
-def _search_k(G: Graph, dm, d: int, caps: list[int], k: int) -> Optional[list[int]]:
+def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Optional[list[int]]:
     """Find a k-packing coloring of connected G, or prove none exists.
 
-    Vertices are assigned in non-increasing degree order.  Colors i < d
-    check a precomputed distance-<=i ball mask and an exact class-size cap;
-    colors >= d force singletons, and among the currently empty high colors
-    only the smallest is ever tried (they are interchangeable).
+    ``masks`` and ``caps`` come from ``_packing_bounds``; the diameter d is
+    ``len(masks)``.  Vertices are assigned in non-increasing degree order.
+    Colors i < d check the distance-<=i ball mask and the exact class-size
+    cap; colors >= d force singletons, and among the currently empty high
+    colors only the smallest is ever tried (they are interchangeable).
     """
     n = G.n
+    d = len(masks)
     capf = [0] + [caps[i] if i < d else 1 for i in range(1, k + 1)]
     if sum(capf) < n:
         return None
 
     order = sorted(range(n), key=lambda v: (-G.degree(v), v))
-    balls: list[list[int]] = [[0] * n for _ in range(min(d, k + 1))]
-    for i in range(1, min(d, k + 1)):
-        for v in range(n):
-            row = dm.row(v)
-            balls[i][v] = sum(1 << u for u in range(n) if u != v and row[u] <= i)
 
     colors = [0] * n
     class_bits = [0] * (k + 1)
@@ -152,7 +164,7 @@ def _search_k(G: Graph, dm, d: int, caps: list[int], k: int) -> Optional[list[in
                 if seen_empty_high:
                     continue
                 seen_empty_high = True
-            elif class_bits[i] & balls[i][v]:
+            elif class_bits[i] & masks[i][v]:
                 continue
             colors[v] = i
             class_bits[i] |= vb
@@ -170,12 +182,9 @@ def _search_k(G: Graph, dm, d: int, caps: list[int], k: int) -> Optional[list[in
 def _chi_rho_connected(G: Graph) -> tuple[int, list[int]]:
     if G.n == 1:
         return 1, [1]
-    dm = all_pairs_distances(G)
-    d = diameter(G)
-    caps = [0] + [max_i_packing(G, i) for i in range(1, d)]
-    lb = max(1, G.n - sum(caps[1:]) + d - 1)
+    lb, masks, caps = _packing_bounds(G)
     for k in count(lb):
-        found = _search_k(G, dm, d, caps, k)
+        found = _search_k(G, masks, caps, k)
         if found is not None:
             return k, found
     raise AssertionError("unreachable: n distinct colors always succeed")

@@ -42,6 +42,7 @@ from .graphs import (
     delete_edge,
     delete_vertex,
     diameter,
+    eccentricities,
     induced_subgraph,
     is_connected,
     radius,
@@ -236,12 +237,13 @@ def _lem_rad3_payloads(cfg: dict) -> list[dict]:
     return [{"g6": key} for key in dict.fromkeys(emit_graph6(g) for g in graphs)]
 
 
-def _g15_specs(max_v: int) -> list[FamilySpec]:
+def _gq1_specs(r: int, max_v: int) -> list[FamilySpec]:
     out = []
-    for m1 in range((max_v - 5) // 2 + 1):
-        for k1 in range(max_v - 5 - 2 * m1 + 1):
-            if k1 + m1 >= 1 and 5 + k1 + 2 * m1 <= max_v:
-                out.append(FamilySpec("gqr", r=5, pairs=((k1, m1),)))
+    budget = max_v - r
+    for m1 in range(budget // 2 + 1):
+        for k1 in range(budget - 2 * m1 + 1):
+            if k1 + m1 >= 1:
+                out.append(FamilySpec("gqr", r=r, pairs=((k1, m1),)))
     return out
 
 
@@ -257,15 +259,6 @@ def _gq2_specs(r: int, max_v: int) -> list[FamilySpec]:
                     if k2 + m2 < 1:
                         continue
                     out.append(FamilySpec("gqr", r=r, pairs=((k1, m1), (k2, m2))))
-    return out
-
-
-def _g14_specs(max_v: int) -> list[FamilySpec]:
-    out = []
-    for m1 in range((max_v - 4) // 2 + 1):
-        for k1 in range(max_v - 4 - 2 * m1 + 1):
-            if k1 + m1 >= 1:
-                out.append(FamilySpec("gqr", r=4, pairs=((k1, m1),)))
     return out
 
 
@@ -375,21 +368,21 @@ _MV = "max_vertices"  # the size every sweep but the hub sweeps (base_max) reads
 
 THEOREMS: dict[str, Sweep] = {sweep.theorem: sweep for sweep in (
     Sweep("pro4", lambda c: f"pendant-decorated C5, one cut vertex, |V|<={c[_MV]}: formula vs solver",
-          _specs(_g15_specs), _formula, {_MV: 14}),
+          _specs(lambda v: _gq1_specs(5, v)), _formula, {_MV: 14}),
     Sweep("pro5", lambda c: f"decorated C5 with k1>0, |V|<={c[_MV]}: never critical",
-          _specs(lambda v: (s for s in _g15_specs(v) if s.pairs[0][0] > 0)), _never_critical, {_MV: 12}),
+          _specs(lambda v: (s for s in _gq1_specs(5, v) if s.pairs[0][0] > 0)), _never_critical, {_MV: 12}),
     Sweep("pro6", lambda c: "single triangle on C5: not critical",
           _specs(lambda v: [FamilySpec("gqr", r=5, pairs=((0, 1),))]), _never_critical),
     Sweep("pro7", lambda c: f"decorated C5, one cut vertex, |V|<={c[_MV]}: criticality iff k1=0, m1>=2",
-          _specs(_g15_specs), _closed_critical, {_MV: 12}),
+          _specs(lambda v: _gq1_specs(5, v)), _closed_critical, {_MV: 12}),
     Sweep("pro8", lambda c: f"decorated C5, two cut vertices, |V|<={c[_MV]}: formula vs solver",
           _specs(lambda v: _gq2_specs(5, v)), _formula, {_MV: 14}),
     Sweep("pro9", lambda c: f"decorated C5, two cut vertices, |V|<={c[_MV]}: never critical",
           _specs(lambda v: _gq2_specs(5, v)), _never_critical, {_MV: 12}),
     Sweep("pro10", lambda c: f"decorated C4, one cut vertex, |V|<={c[_MV]}: formula vs solver",
-          _specs(_g14_specs), _formula, {_MV: 14}),
+          _specs(lambda v: _gq1_specs(4, v)), _formula, {_MV: 14}),
     Sweep("pro11", lambda c: f"decorated C4, one cut vertex, |V|<={c[_MV]}: never critical",
-          _specs(_g14_specs), _never_critical, {_MV: 12}),
+          _specs(lambda v: _gq1_specs(4, v)), _never_critical, {_MV: 12}),
     Sweep("pro12", lambda c: f"decorated C4, two cut vertices, |V|<={c[_MV]}: formula vs solver",
           _specs(lambda v: _gq2_specs(4, v)), _formula, {_MV: 14}),
     Sweep("pro13", lambda c: f"decorated C4, two cut vertices, |V|<={c[_MV]}: criticality clauses",
@@ -440,7 +433,7 @@ THEOREMS: dict[str, Sweep] = {sweep.theorem: sweep for sweep in (
           _class(min_n=2, connected=True), _obsv1, {_MV: 7}),
     Sweep("lemma1", lambda c: f"cycles up to C{c[_MV]}: radius = diameter = floor(n/2)",
           _specs(lambda v: (FamilySpec("cycle", n=n) for n in range(3, v + 1))),
-          lambda G, spec: (True, radius(G) == spec.n // 2 and diameter(G) == spec.n // 2), {_MV: 12}),
+          lambda G, spec: (True, set(eccentricities(G)) == {spec.n // 2}), {_MV: 12}),
     Sweep("lem-mainblock", lambda c: f"radius-2 cacti n<={c[_MV]}: every cycle block is C3, C4 or C5",
           _class(structure="cactus", radius=2),
           lambda G, _: (True, all(b.order in (3, 4, 5) for b in block_decomposition(G).blocks if b.is_cycle)),

@@ -104,6 +104,26 @@ def brute_has_packing_coloring(G: Graph, k: int) -> bool:
     return assign(0)
 
 
+def brute_max_i_packing(G: Graph, i: int) -> int:
+    """Largest vertex subset whose pairwise distances all exceed i, by
+    trying subsets from the largest size down."""
+    d = _distances(G)
+    for size in range(G.n, 0, -1):
+        for combo in combinations(range(G.n), size):
+            if all(d[u][v] > i for u, v in combinations(combo, 2)):
+                return size
+    return 0
+
+
+def brute_lower_bound(G: Graph) -> int:
+    """The counting bound of a connected graph rebuilt from the brute caps:
+    colors i below the diameter d hold at most brute_max_i_packing(G, i)
+    vertices, every further color one."""
+    d = int(max(max(row) for row in _distances(G)))
+    cap_sum = sum(brute_max_i_packing(G, i) for i in range(1, d))
+    return max(1, G.n - cap_sum + d - 1)
+
+
 def brute_chi_rho(G: Graph) -> int:
     for k in range(1, G.n + 1):
         if brute_has_packing_coloring(G, k):

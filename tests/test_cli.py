@@ -166,6 +166,12 @@ class TestEnumerate:
         graphs = [parse_graph6(ln) for ln in out.splitlines()]
         assert graphs and all(g.n <= 6 for g in graphs)
 
+    def test_structure_flags_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--cactus", "--tree", "--max-n", "4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_graph6_lines_parse(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-n", "4", "--connected")
         counts = len(out.splitlines())

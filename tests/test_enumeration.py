@@ -15,7 +15,7 @@ from packcrit.enumeration import (
     representatives,
 )
 from packcrit.errors import CapExceededError
-from packcrit.graphs import Graph, diameter, is_cactus, is_connected, is_tree, radius
+from packcrit.graphs import Graph, is_cactus, is_connected, is_tree
 from packcrit.iso import is_isomorphic
 from oracles import connected_counts_from_all, count_unlabeled_graphs
 

@@ -19,7 +19,7 @@ from packcrit.graphs import (
     delete_edge,
     delete_vertex,
     diameter,
-    eccentricity,
+    eccentricities,
     is_block_graph,
     is_cactus,
     is_connected,
@@ -115,7 +115,7 @@ class TestMetrics:
 
     def test_k1_metrics(self):
         g = Graph(1)
-        assert radius(g) == 0 and diameter(g) == 0 and eccentricity(g, 0) == 0
+        assert radius(g) == 0 and diameter(g) == 0 and eccentricities(g) == (0,)
 
     def test_disconnected_fails(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -123,7 +123,7 @@ class TestMetrics:
             with pytest.raises(DisconnectedGraphError):
                 fn(g)
         with pytest.raises(DisconnectedGraphError):
-            eccentricity(g, 0)
+            eccentricities(g)
 
     def test_center_p4(self):
         assert center(P4) == {1, 2}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from packcrit import packing
 from packcrit.errors import DisconnectedGraphError, PreconditionError
 from packcrit.graphs import Graph, delete_edge, delete_vertex, diameter, is_connected
 from packcrit.independence import alpha
@@ -14,7 +15,7 @@ from packcrit.packing import (
     max_i_packing,
     verify_packing_coloring,
 )
-from oracles import brute_chi_rho, brute_has_packing_coloring
+from oracles import brute_chi_rho, brute_has_packing_coloring, brute_lower_bound, brute_max_i_packing
 from strategies import graphs
 
 
@@ -156,6 +157,11 @@ class TestMaxIPacking:
         with pytest.raises(PreconditionError):
             max_i_packing(Graph(0), 1)
 
+    def test_matches_brute_oracle(self, all_graphs_upto_6):
+        for g in all_graphs_upto_6:
+            for i in range(1, g.n + 1):
+                assert max_i_packing(g, i) == brute_max_i_packing(g, i), (g, i)
+
 
 class TestLowerBound:
     def test_k1(self):
@@ -174,6 +180,29 @@ class TestLowerBound:
     def test_never_exceeds_chi(self, connected_upto_7):
         for g in connected_upto_7:
             assert chi_rho_lower_bound(g) <= chi_rho(g).value
+
+    def test_matches_brute_oracle(self, all_graphs_upto_6):
+        for g in all_graphs_upto_6:
+            if not is_connected(g):
+                continue
+            assert chi_rho_lower_bound(g) == brute_lower_bound(g), g
+
+
+class TestOneDistanceTable:
+    @pytest.mark.parametrize("g", [path(12), wheel6()], ids=["P12", "hub+C5"])
+    def test_one_table_per_solve(self, g, monkeypatch):
+        calls = {"all_pairs_distances": 0, "max_i_packing": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(packing, name, counted(name, getattr(packing, name)))
+        chi_rho(g)
+        assert calls == {"all_pairs_distances": 1, "max_i_packing": 0}
 
 
 class TestMonotonicity:
