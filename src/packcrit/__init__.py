@@ -79,6 +79,7 @@ from .packing import (
     chi_rho_lower_bound,
     diam2_formula,
     max_i_packing,
+    packs_within,
     verify_packing_coloring,
 )
 from .verify import THEOREMS, VerificationReport, run_sweep

@@ -93,7 +93,7 @@ def cmd_critical(args) -> int:
         print(f"critical ({kind} deletions all lower the value)")
     else:
         print(f"not critical; witness {kind}: {report.witness} "
-              f"keeps chi_rho at {dict(report.table)[report.witness]}")
+              f"keeps chi_rho at {report.base_chi_rho}")
     if args.table:
         for deletion, value in report.table:
             print(f"  -{deletion}: {value}")

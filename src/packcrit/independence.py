@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError
-from .graphs import Edge, Graph, all_pairs_distances, is_connected, radius
+from .graphs import UNREACHABLE, Edge, Graph, all_pairs_distances
 
 
 class MisResult(NamedTuple):
@@ -150,11 +150,12 @@ def check_lemma_rad3(G: Graph) -> bool:
     Raises PreconditionError when the hypothesis fails, as distinct from a
     False return, which would be a genuine property violation.
     """
-    if G.n == 0 or not is_connected(G) or radius(G) < 3:
+    dm = all_pairs_distances(G)
+    eccs = [max(row) for row in dm.rows]
+    if G.n == 0 or UNREACHABLE in eccs or min(eccs) < 3:
         raise PreconditionError("requires a connected graph of radius >= 3")
     if not is_alpha_critical(G).critical:
         raise PreconditionError("requires an alpha-critical graph")
-    dm = all_pairs_distances(G)
     for x in range(G.n):
         for y in range(x + 1, G.n):
             if dm[x, y] == 3 and mis_avoiding(G, (x, y)) is None:

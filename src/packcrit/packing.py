@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DisconnectedGraphError, PreconditionError
 from .graphs import (
@@ -179,15 +179,53 @@ def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Opti
     return list(colors) if dfs(0) else None
 
 
-def _chi_rho_connected(G: Graph) -> tuple[int, list[int]]:
+def _chi_rho_connected(G: Graph) -> list[int]:
+    """An optimal packing coloring of connected G; its largest color is the
+    value, since the search at every smaller k failed."""
     if G.n == 1:
-        return 1, [1]
+        return [1]
     lb, masks, caps = _packing_bounds(G)
     for k in count(lb):
         found = _search_k(G, masks, caps, k)
         if found is not None:
-            return k, found
+            return found
     raise AssertionError("unreachable: n distinct colors always succeed")
+
+
+def _packs_within_connected(G: Graph, k: int) -> Optional[list[int]]:
+    if G.n == 1:
+        return [1] if k >= 1 else None
+    lb, masks, caps = _packing_bounds(G)
+    return None if lb > k else _search_k(G, masks, caps, k)
+
+
+def _by_component(G: Graph, solve: Callable[[Graph], Optional[list[int]]]) -> Optional[list[int]]:
+    """Run ``solve`` on each component of non-empty G and merge the colorings
+    it returns; None as soon as one component has none."""
+    if G.n == 0:
+        raise PreconditionError("packing chromatic number undefined on the empty graph")
+    comps = components(G)
+    if len(comps) == 1:
+        return solve(G)
+    merged = [0] * G.n
+    for comp in comps:
+        sub, relabel = induced_subgraph(G, comp)
+        cols = solve(sub)
+        if cols is None:
+            return None
+        for old, new in relabel.items():
+            merged[old] = cols[new]
+    return merged
+
+
+def packs_within(G: Graph, k: int) -> Optional[list[int]]:
+    """A packing coloring of non-empty G with colors in 1..k, or None when
+    none exists.
+
+    Decides ``chi_rho(G) <= k`` with one bounded search per component,
+    skipped when the component's counting bound already exceeds ``k``.
+    """
+    return _by_component(G, lambda sub: _packs_within_connected(sub, k))
 
 
 def chi_rho(G: Graph) -> ChiRho:
@@ -197,18 +235,5 @@ def chi_rho(G: Graph) -> ChiRho:
     witness colors each component optimally and classes merge freely across
     components (cross-component distances are unbounded).
     """
-    if G.n == 0:
-        raise PreconditionError("packing chromatic number undefined on the empty graph")
-    comps = components(G)
-    if len(comps) == 1:
-        value, cols = _chi_rho_connected(G)
-        return ChiRho(value, PackingColoring.from_colors(cols))
-    merged = [0] * G.n
-    best = 0
-    for comp in comps:
-        sub, relabel = induced_subgraph(G, comp)
-        value, cols = _chi_rho_connected(sub)
-        best = max(best, value)
-        for old, new in relabel.items():
-            merged[old] = cols[new]
-    return ChiRho(best, PackingColoring.from_colors(merged))
+    coloring = PackingColoring.from_colors(_by_component(G, _chi_rho_connected))
+    return ChiRho(coloring.k, coloring)

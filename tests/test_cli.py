@@ -64,6 +64,10 @@ class TestCritical:
         code, out, _ = run(capsys, "critical", "W6")
         assert "not critical" in out and "witness" in out
 
+    def test_w6_not_critical_line(self, capsys):
+        code, out, _ = run(capsys, "critical", "W6")
+        assert code == 0 and out == "chi_rho = 5\nnot critical; witness edge: (0, 1) keeps chi_rho at 5\n"
+
     def test_h_family(self, capsys):
         code, out, _ = run(capsys, "critical", "H(0,2;2,0)")
         assert code == 0 and "not critical" not in out

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from packcrit import criticality
 from packcrit.criticality import has_leaf_violation, is_edge_critical, is_vertex_critical
 from packcrit.enumeration import representatives
 from packcrit.errors import PreconditionError
-from packcrit.graphs import Graph, delete_edge, is_tree
-from packcrit.packing import chi_rho
+from packcrit.graphs import Graph, delete_edge, delete_vertex, is_tree
+from packcrit.packing import PackingColoring, chi_rho, packs_within, verify_packing_coloring
 
 
 def cycle(n):
@@ -101,3 +102,73 @@ class TestTreeEquivalence:
             for g in representatives("tree", n):
                 assert is_tree(g)
                 assert is_edge_critical(g).critical == is_vertex_critical(g).critical
+
+
+class TestDecisionPath:
+    """The verdict asks one question per deletion (a packing coloring with
+    one color fewer than the graph needs?) and stops at the first no."""
+
+    @staticmethod
+    def check_against_table(g, report, deletions):
+        base = chi_rho(g).value
+        table = [(d, chi_rho(sub).value) for d, sub in deletions]
+        expected = next((d for d, val in table if val >= base), None)
+        assert (report.base_chi_rho, report.critical, report.witness) == (base, expected is None, expected), g
+        for (d, val), (_, sub) in zip(table, deletions):
+            cols = packs_within(sub, base - 1)
+            assert (cols is None) == (val >= base), (g, d)
+            if cols is not None:
+                assert max(cols) <= base - 1
+                assert verify_packing_coloring(sub, PackingColoring.from_colors(cols)).ok
+
+    def test_matches_full_table(self, all_graphs_upto_6):
+        for g in all_graphs_upto_6:
+            if all(g.degree(v) for v in range(g.n)):
+                edge_dels = [(e, delete_edge(g, e)) for e in g.edges()]
+                self.check_against_table(g, is_edge_critical(g), edge_dels)
+            if g.n >= 2:
+                vertex_dels = [(v, delete_vertex(g, v)[0]) for v in range(g.n)]
+                self.check_against_table(g, is_vertex_critical(g), vertex_dels)
+
+    @pytest.mark.parametrize("g, kind, pinned", [
+        (Graph(2), "vertex", (1, False, 0, ((0, 1), (1, 1)))),
+        (Graph(3, [(0, 1)]), "vertex", (2, False, 2, ((0, 1), (1, 1), (2, 2)))),
+        (path(5), "edge", (3, False, (0, 1), (((0, 1), 3), ((1, 2), 2), ((2, 3), 2), ((3, 4), 3)))),
+    ], ids=["two-isolated", "K2+K1", "P5-bridges"])
+    def test_pinned_edge_cases(self, g, kind, pinned):
+        rep = is_vertex_critical(g) if kind == "vertex" else is_edge_critical(g)
+        assert (rep.base_chi_rho, rep.critical, rep.witness, rep.table) == pinned
+
+    def test_w6_stops_at_first_witness(self, monkeypatch):
+        calls = {"chi_rho": 0, "packs_within": [], "delete_edge": 0}
+
+        def counted_chi_rho(G):
+            calls["chi_rho"] += 1
+            return chi_rho(G)
+
+        def counted_packs_within(G, k):
+            calls["packs_within"].append((G, k))
+            return packs_within(G, k)
+
+        def counted_delete_edge(G, e):
+            calls["delete_edge"] += 1
+            return delete_edge(G, e)
+
+        monkeypatch.setattr(criticality, "chi_rho", counted_chi_rho)
+        monkeypatch.setattr(criticality, "packs_within", counted_packs_within)
+        monkeypatch.setattr(criticality, "delete_edge", counted_delete_edge)
+        rep = is_edge_critical(wheel6())
+        assert not rep.critical and rep.witness == (0, 1)
+        assert calls == {"chi_rho": 1, "packs_within": [(delete_edge(wheel6(), (0, 1)), 4)], "delete_edge": 1}
+
+    def test_table_computed_once_on_read(self, monkeypatch):
+        rep = is_edge_critical(wheel6())
+        solved = []
+
+        def counted_chi_rho(G):
+            solved.append(G)
+            return chi_rho(G)
+
+        monkeypatch.setattr(criticality, "chi_rho", counted_chi_rho)
+        assert [v for _, v in rep.table] == [5] * 5 + [4] * 5
+        assert rep.table is rep.table and len(solved) == 10

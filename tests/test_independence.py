@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from packcrit import graphs as graphs_module, independence
 from packcrit.errors import PreconditionError
 from packcrit.graphs import Graph, delete_edge
 from packcrit.independence import (
@@ -129,3 +130,21 @@ class TestLemmaRad3:
     def test_non_alpha_critical_precondition(self):
         with pytest.raises(PreconditionError):
             check_lemma_rad3(Graph(7, [(i, i + 1) for i in range(6)]))  # P7, rad 3
+
+    def test_disconnected_precondition(self):
+        with pytest.raises(PreconditionError, match="radius >= 3"):
+            check_lemma_rad3(Graph(14, [(i, (i + 1) % 7) for i in range(7)]
+                                   + [(7 + i, 7 + (i + 1) % 7) for i in range(7)]))  # 2 C7
+
+    def test_one_distance_table(self, monkeypatch):
+        calls = []
+        original = graphs_module.all_pairs_distances
+
+        def counted(G):
+            calls.append(G)
+            return original(G)
+
+        for module in (graphs_module, independence):
+            monkeypatch.setattr(module, "all_pairs_distances", counted)
+        assert check_lemma_rad3(cycle(7))
+        assert len(calls) == 1

@@ -13,6 +13,7 @@ from packcrit.packing import (
     chi_rho_lower_bound,
     diam2_formula,
     max_i_packing,
+    packs_within,
     verify_packing_coloring,
 )
 from oracles import brute_chi_rho, brute_has_packing_coloring, brute_lower_bound, brute_max_i_packing
@@ -186,6 +187,26 @@ class TestLowerBound:
             if not is_connected(g):
                 continue
             assert chi_rho_lower_bound(g) == brute_lower_bound(g), g
+
+
+class TestPacksWithin:
+    def test_matches_brute_oracle(self, all_graphs_upto_6):
+        for g in all_graphs_upto_6:
+            for k in range(g.n + 1):
+                cols = packs_within(g, k)
+                assert (cols is not None) == brute_has_packing_coloring(g, k), (g, k)
+                if cols is not None:
+                    assert max(cols) <= k
+                    assert verify_packing_coloring(g, PackingColoring.from_colors(cols)).ok
+
+    def test_counting_bound_skips_search(self, monkeypatch):
+        # C5 has counting bound 5 - 2 + 1 = 4, so k = 3 is refused unsearched
+        monkeypatch.setattr(packing, "_search_k", lambda *args: pytest.fail("searched below the bound"))
+        assert packs_within(cycle(5), 3) is None
+
+    def test_empty_rejected(self):
+        with pytest.raises(PreconditionError):
+            packs_within(Graph(0), 3)
 
 
 class TestOneDistanceTable:
