@@ -2,8 +2,13 @@
 
 The solver branches on a maximum-degree vertex (include/exclude) over
 bitmask-encoded vertex sets, with memoization and a closed form for the
-degree<=1 residue.  Witnesses are the lexicographically smallest maximum
-independent sets, so every result is reproducible.
+degree<=1 residue.  It also splits a disconnected mask (branch and reduce;
+Fomin, Grandoni and Kratsch, JACM 56, 2009): a bit-parallel search grows
+the component of the branching vertex, the branches stay inside that
+component, and the memoised answer on the rest of the mask is added.  The
+search is skipped when the branching vertex sees every other vertex of the
+mask, which is then connected.  Witnesses are the lexicographically
+smallest maximum independent sets, so every result is reproducible.
 """
 
 from __future__ import annotations
@@ -22,6 +27,21 @@ class MisResult(NamedTuple):
 class AlphaCriticality(NamedTuple):
     critical: bool
     witness_edge: Optional[Edge]  # an edge whose removal keeps alpha, when not critical
+
+
+def _component(bits: Sequence[int], mask: int, v: int) -> int:
+    """The connected component of ``v`` within ``mask``, as a bitmask."""
+    frontier = bits[v] & mask
+    comp = frontier | (1 << v)
+    while frontier and comp != mask:
+        reach = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            reach |= bits[b.bit_length() - 1]
+        frontier = reach & mask & ~comp
+        comp |= frontier
+    return comp
 
 
 def _mis_size(bits: Sequence[int], mask: int, memo: dict[int, int]) -> int:
@@ -47,10 +67,15 @@ def _mis_size(bits: Sequence[int], mask: int, memo: dict[int, int]) -> int:
     if best_deg <= 1:
         result = mask.bit_count() - edge_halves // 2
     else:
+        # Branch inside best_v's component and add the rest of the mask; a
+        # vertex that sees the whole mask leaves nothing outside it.
+        comp = _component(bits, mask, best_v) if best_deg + 1 < mask.bit_count() else mask
         vb = 1 << best_v
-        excl = _mis_size(bits, mask ^ vb, memo)
-        incl = 1 + _mis_size(bits, mask & ~(bits[best_v] | vb), memo)
+        excl = _mis_size(bits, comp ^ vb, memo)
+        incl = 1 + _mis_size(bits, comp & ~(bits[best_v] | vb), memo)
         result = excl if excl >= incl else incl
+        if comp != mask:
+            result += _mis_size(bits, mask ^ comp, memo)
     memo[mask] = result
     return result
 
@@ -60,12 +85,13 @@ def mis_size_bits(bits: Sequence[int], mask: int) -> int:
     return _mis_size(bits, mask, {})
 
 
-def _lexmin_witness(bits: Sequence[int], mask: int, size: int) -> frozenset[int]:
-    memo: dict[int, int] = {}
+def _lexmin_witness(bits: Sequence[int], mask: int, size: int, memo: dict[int, int]) -> frozenset[int]:
+    """The lexicographically smallest independent set of ``size`` vertices in
+    ``mask``, where ``size`` is the maximum; ``memo`` is shared with the
+    ``_mis_size`` calls over the same ``bits``."""
     chosen = []
     cur = mask
     need = size
-    v = 0
     while need and cur:
         vb = cur & -cur
         v = vb.bit_length() - 1
@@ -88,8 +114,9 @@ def max_independent_set(G: Graph) -> MisResult:
     """Exact alpha with the lexicographically smallest witness set."""
     bits = G.adjacency_bits()
     full = (1 << G.n) - 1
-    a = mis_size_bits(bits, full)
-    return MisResult(a, _lexmin_witness(bits, full, a))
+    memo: dict[int, int] = {}
+    a = _mis_size(bits, full, memo)
+    return MisResult(a, _lexmin_witness(bits, full, a, memo))
 
 
 def _alpha_without_edge(G: Graph, e: Edge) -> int:
@@ -120,13 +147,22 @@ def haynes_check(G: Graph) -> bool:
     """
     bits = G.adjacency_bits()
     full = (1 << G.n) - 1
-    a = mis_size_bits(bits, full)
+    memo: dict[int, int] = {}
+    a = _mis_size(bits, full, memo)
 
     def oriented(u: int, v: int) -> bool:
         allowed = full & ~(bits[u] | (1 << u)) & ~bits[v]
-        return 1 + mis_size_bits(bits, allowed) == a
+        return 1 + _mis_size(bits, allowed, memo) == a
 
     return all(oriented(u, v) and oriented(v, u) for u, v in G.edges())
+
+
+def _avoiding(bits: Sequence[int], allowed: int, a: int, memo: dict[int, int]) -> Optional[MisResult]:
+    """A maximum independent set (of size ``a``) inside ``allowed``, if any;
+    ``memo`` is shared by every call over ``bits``."""
+    if _mis_size(bits, allowed, memo) != a:
+        return None
+    return MisResult(a, _lexmin_witness(bits, allowed, a, memo))
 
 
 def mis_avoiding(G: Graph, forbidden: Iterable[int]) -> Optional[MisResult]:
@@ -136,11 +172,8 @@ def mis_avoiding(G: Graph, forbidden: Iterable[int]) -> Optional[MisResult]:
     banned = 0
     for v in forbidden:
         banned |= 1 << v
-    a = mis_size_bits(bits, full)
-    allowed = full & ~banned
-    if mis_size_bits(bits, allowed) != a:
-        return None
-    return MisResult(a, _lexmin_witness(bits, allowed, a))
+    memo: dict[int, int] = {}
+    return _avoiding(bits, full & ~banned, _mis_size(bits, full, memo), memo)
 
 
 def check_lemma_rad3(G: Graph) -> bool:
@@ -156,8 +189,12 @@ def check_lemma_rad3(G: Graph) -> bool:
         raise PreconditionError("requires a connected graph of radius >= 3")
     if not is_alpha_critical(G).critical:
         raise PreconditionError("requires an alpha-critical graph")
+    bits = G.adjacency_bits()
+    full = (1 << G.n) - 1
+    memo: dict[int, int] = {}
+    a = _mis_size(bits, full, memo)
     for x in range(G.n):
         for y in range(x + 1, G.n):
-            if dm[x, y] == 3 and mis_avoiding(G, (x, y)) is None:
+            if dm[x, y] == 3 and _avoiding(bits, full & ~(1 << x) & ~(1 << y), a, memo) is None:
                 return False
     return True

@@ -2,9 +2,12 @@
 
 A k-packing coloring partitions the vertices into classes X_1..X_k where
 class X_i only holds vertices pairwise further apart than i.  The exact
-solver deepens k starting from a counting lower bound and searches with
-per-class capacity limits (the exact maximum i-packing sizes), distance-ball
-conflict masks, and interchangeable-high-color symmetry breaking.
+solver deepens k and searches with per-class capacity limits (the exact
+maximum i-packing sizes), distance-ball conflict masks, and
+interchangeable-high-color symmetry breaking.  A connected solve reads one
+distance table; the ball masks and caps of color i are built only once k
+reaches i, so colors above the answer never pay for a maximum independent
+set, and a k whose caps sum below |V| is refused unsearched.
 """
 
 from __future__ import annotations
@@ -97,20 +100,30 @@ def max_i_packing(G: Graph, i: int) -> int:
     return mis_size_bits(_ball_masks(all_pairs_distances(G), i), (1 << G.n) - 1)
 
 
-def _packing_bounds(G: Graph) -> tuple[int, list[list[int]], list[int]]:
-    """Counting bound, ball masks and class caps of a connected graph, all
-    read from one distance table.
+class _ClassCaps:
+    """Ball masks and exact class caps of a connected graph's colors, read
+    from one distance table and built only as far as they are asked for.
 
     ``masks[i]`` holds the distance-<=i balls and ``caps[i]`` the exact
-    maximum i-packing size of each color i below the diameter d; index 0 is
-    an empty placeholder, so ``len(masks) == d``.
+    maximum i-packing size of color i, for each i built so far below the
+    diameter d; index 0 is an empty placeholder.
     """
-    dm = all_pairs_distances(G)
-    d = max(max(row) for row in dm.rows)
-    full = (1 << G.n) - 1
-    masks = [_ball_masks(dm, i) if i else [0] * G.n for i in range(d)]
-    caps = [0] + [mis_size_bits(m, full) for m in masks[1:]]
-    return max(1, G.n - sum(caps) + d - 1), masks, caps
+
+    def __init__(self, G: Graph):
+        self.full = (1 << G.n) - 1
+        self.dm = all_pairs_distances(G)
+        self.d = max(max(row) for row in self.dm.rows)
+        self.masks: list[list[int]] = [[0] * G.n]
+        self.caps = [0]
+
+    def capacity(self, k: int) -> int:
+        """Build the colors up to min(k, d - 1) and return how many vertices
+        colors 1..k hold at most: their exact caps below the diameter, one
+        each from it on."""
+        for i in range(len(self.masks), min(k, self.d - 1) + 1):
+            self.masks.append(_ball_masks(self.dm, i))
+            self.caps.append(mis_size_bits(self.masks[i], self.full))
+        return sum(self.caps[: k + 1]) + max(0, k + 1 - len(self.caps))
 
 
 def chi_rho_lower_bound(G: Graph) -> int:
@@ -118,7 +131,9 @@ def chi_rho_lower_bound(G: Graph) -> int:
     i-packing maxima and every further class is a singleton."""
     if G.n == 0 or not is_connected(G):
         raise DisconnectedGraphError("lower bound requires a connected, non-empty graph")
-    return _packing_bounds(G)[0]
+    classes = _ClassCaps(G)
+    d = classes.d
+    return max(1, G.n - classes.capacity(d - 1) + d - 1)
 
 
 def diam2_formula(G: Graph) -> int:
@@ -133,18 +148,17 @@ def diam2_formula(G: Graph) -> int:
 def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Optional[list[int]]:
     """Find a k-packing coloring of connected G, or prove none exists.
 
-    ``masks`` and ``caps`` come from ``_packing_bounds``; the diameter d is
-    ``len(masks)``.  Vertices are assigned in non-increasing degree order.
-    Colors i < d check the distance-<=i ball mask and the exact class-size
-    cap; colors >= d force singletons, and among the currently empty high
-    colors only the smallest is ever tried (they are interchangeable).
+    ``masks`` and ``caps`` come from ``_ClassCaps.capacity(k)``, which built
+    every color below min(k + 1, d) for the diameter d, so ``len(masks)``
+    is d whenever k >= d - 1.  Vertices are assigned in non-increasing
+    degree order.  Colors i < ``len(masks)`` check the distance-<=i ball
+    mask and the exact class-size cap; colors from there on force
+    singletons, and among the currently empty ones only the smallest is
+    ever tried (they are interchangeable).
     """
     n = G.n
     d = len(masks)
     capf = [0] + [caps[i] if i < d else 1 for i in range(1, k + 1)]
-    if sum(capf) < n:
-        return None
-
     order = sorted(range(n), key=lambda v: (-G.degree(v), v))
 
     colors = [0] * n
@@ -179,14 +193,24 @@ def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Opti
     return list(colors) if dfs(0) else None
 
 
+def _within(G: Graph, classes: _ClassCaps, k: int) -> Optional[list[int]]:
+    """A k-packing coloring of connected G, or None.  A k whose colors hold
+    fewer than |V| vertices is refused unsearched; that is never weaker than
+    the counting bound, since each color below the diameter that is not
+    built holds at least one vertex."""
+    if classes.capacity(k) < G.n:
+        return None
+    return _search_k(G, classes.masks, classes.caps, k)
+
+
 def _chi_rho_connected(G: Graph) -> list[int]:
     """An optimal packing coloring of connected G; its largest color is the
     value, since the search at every smaller k failed."""
     if G.n == 1:
         return [1]
-    lb, masks, caps = _packing_bounds(G)
-    for k in count(lb):
-        found = _search_k(G, masks, caps, k)
+    classes = _ClassCaps(G)
+    for k in count(1):
+        found = _within(G, classes, k)
         if found is not None:
             return found
     raise AssertionError("unreachable: n distinct colors always succeed")
@@ -195,8 +219,7 @@ def _chi_rho_connected(G: Graph) -> list[int]:
 def _packs_within_connected(G: Graph, k: int) -> Optional[list[int]]:
     if G.n == 1:
         return [1] if k >= 1 else None
-    lb, masks, caps = _packing_bounds(G)
-    return None if lb > k else _search_k(G, masks, caps, k)
+    return _within(G, _ClassCaps(G), k)
 
 
 def _by_component(G: Graph, solve: Callable[[Graph], Optional[list[int]]]) -> Optional[list[int]]:
@@ -223,7 +246,7 @@ def packs_within(G: Graph, k: int) -> Optional[list[int]]:
     none exists.
 
     Decides ``chi_rho(G) <= k`` with one bounded search per component,
-    skipped when the component's counting bound already exceeds ``k``.
+    skipped when the component's caps of colors 1..k sum below its order.
     """
     return _by_component(G, lambda sub: _packs_within_connected(sub, k))
 

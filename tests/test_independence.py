@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from packcrit import graphs as graphs_module, independence
+from packcrit.enumeration import representatives
 from packcrit.errors import PreconditionError
-from packcrit.graphs import Graph, delete_edge
+from packcrit.graphs import Graph, all_pairs_distances, delete_edge
 from packcrit.independence import (
     alpha,
     check_lemma_rad3,
@@ -15,7 +16,9 @@ from packcrit.independence import (
     is_alpha_critical,
     max_independent_set,
     mis_avoiding,
+    mis_size_bits,
 )
+from packcrit.packing import _ball_masks
 from oracles import brute_all_mis, brute_alpha
 from strategies import graphs
 
@@ -66,6 +69,43 @@ class TestMis:
         assert res.alpha == brute_alpha(g)
         assert len(res.witness) == res.alpha
         assert all(not g.has_edge(u, v) for u, v in combinations(sorted(res.witness), 2))
+
+
+def interleaved_union(g, h):
+    """Disjoint union of g and h with g on the even labels first, so that
+    neither component is a contiguous bit range."""
+    n = g.n + h.n
+    order = list(range(0, n, 2)) + list(range(1, n, 2))
+    at_g, at_h = order[:g.n], order[g.n:]
+    return Graph(n, [(at_g[u], at_g[v]) for u, v in g.edges()] + [(at_h[u], at_h[v]) for u, v in h.edges()])
+
+
+@pytest.fixture(scope="module")
+def interleaved_unions():
+    small = [g for n in range(1, 5) for g in representatives("all", n)]
+    return [interleaved_union(g, h) for g in small for h in small]
+
+
+class TestComponentSplitting:
+    def test_matches_brute_alpha(self, all_graphs_upto_6):
+        for g in all_graphs_upto_6:
+            assert mis_size_bits(g.adjacency_bits(), (1 << g.n) - 1) == brute_alpha(g), g
+
+    def test_interleaved_unions(self, interleaved_unions):
+        for g in interleaved_unions:
+            assert mis_size_bits(g.adjacency_bits(), (1 << g.n) - 1) == brute_alpha(g), g
+
+    def test_interleaved_union_witness_is_lexmin(self, interleaved_unions):
+        for g in interleaved_unions:
+            lexmin = min(sorted(s) for s in brute_all_mis(g))
+            assert sorted(max_independent_set(g).witness) == lexmin, g
+
+    def test_path_memo_stays_small(self):
+        # without splitting, P40's distance-1 memo holds 110,809 masks
+        p40 = Graph(40, [(i, i + 1) for i in range(39)])
+        memo = {}
+        assert independence._mis_size(_ball_masks(all_pairs_distances(p40), 1), (1 << 40) - 1, memo) == 20
+        assert len(memo) < 40**2
 
 
 class TestAlphaCritical:

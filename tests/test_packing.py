@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import ceil
+
 import pytest
 from hypothesis import given, settings
 
@@ -187,6 +189,34 @@ class TestLowerBound:
             if not is_connected(g):
                 continue
             assert chi_rho_lower_bound(g) == brute_lower_bound(g), g
+
+
+class TestReach:
+    @pytest.mark.parametrize("n", [40, 80])
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_path_and_cycle_packings(self, n, i):
+        assert max_i_packing(path(n), i) == ceil(n / (i + 1))
+        assert max_i_packing(cycle(n), i) == n // (i + 1)
+
+    @pytest.mark.parametrize("g", [path(80), cycle(80)], ids=["P80", "C80"])
+    def test_chi_rho_80(self, g):
+        res = chi_rho(g)
+        assert res.value == 3
+        assert verify_packing_coloring(g, res.witness).ok
+
+    def test_caps_built_only_up_to_the_value(self, monkeypatch):
+        calls = []
+        original = packing.mis_size_bits
+        monkeypatch.setattr(packing, "mis_size_bits", lambda bits, mask: calls.append(mask) or original(bits, mask))
+        assert chi_rho(path(40)).value == 3
+        assert len(calls) == 3  # colors 1..3, not all 38 below the diameter
+
+    def test_lower_bound_is_counting_formula(self):
+        for n in range(12, 41):
+            for g in (path(n), cycle(n)):
+                d = diameter(g)
+                caps = sum(max_i_packing(g, i) for i in range(1, d))
+                assert chi_rho_lower_bound(g) == max(1, n - caps + d - 1), g
 
 
 class TestPacksWithin:
