@@ -13,7 +13,6 @@ from .enumeration import (
     EnumerationFilter,
     cacti_by_block_attachment,
     canonical_cert,
-    enumerate_cacti,
     enumerate_graphs,
 )
 from .errors import (

@@ -149,7 +149,7 @@ def cmd_verify(args) -> int:
     report = run_sweep(
         args.theorem,
         max_vertices=_size(args.max_vertices),
-        base_max=args.base_max,
+        base_max=_size(args.base_max),
         jobs=args.jobs,
         corpus=corpus,
     )

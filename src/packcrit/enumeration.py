@@ -1,21 +1,25 @@
 """Isomorph-free generation of small graphs, trees, cacti, and block graphs.
 
-Representatives at each order extend the previous order's representatives by
-one vertex over the neighbor subsets that can produce the target class
-(arbitrary subsets in general; a single neighbor for trees; one or two for
-cacti, since deleting a non-cut vertex of a leaf block always leaves a
-cactus; clique-cluster subsets for block graphs).  Candidates deduplicate
-by canonical certificate, keeping the first candidate of each class, and each
-level is emitted sorted by that certificate, so the stream is deterministic.
-``iso`` stays out of this path: it is the independent oracle the tests check
-the certificates against.
+Each structure class is one row of ``_TABLE``: its default size cap, the
+class predicate ``EnumerationFilter.matches`` applies, the neighbor subsets
+a new vertex may take when it extends a parent (arbitrary subsets in
+general; a single neighbor for trees; one or two for cacti, since deleting
+a non-cut vertex of a leaf block always leaves a cactus; clique-cluster
+subsets for block graphs), and whether a grown candidate must be re-tested
+against the predicate (cacti and block graphs; a leaf added to a tree is a
+tree, and every graph is in ``all``).  Representatives at each order extend
+the previous order's representatives by those subsets.  Candidates
+deduplicate by canonical certificate, keeping the first candidate of each
+class, and each level is emitted sorted by that certificate, so the stream
+is deterministic.  ``iso`` stays out of this path: it is the independent
+oracle the tests check the certificates against.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CapExceededError
 from .graphs import (
@@ -26,10 +30,6 @@ from .graphs import (
     is_connected,
     is_tree,
 )
-
-STRUCTURES = ("all", "tree", "cactus", "block-graph")
-
-_DEFAULT_CAPS = {"all": 8, "tree": 11, "cactus": 11, "block-graph": 11}
 
 ENV_CAP = "PACKCRIT_MAX_N"
 
@@ -50,7 +50,13 @@ def hard_cap(structure: str) -> int:
     """Vertex-count ceiling for a structure class; the PACKCRIT_MAX_N
     environment variable overrides the built-in defaults."""
     cap = env_cap()
-    return _DEFAULT_CAPS[structure] if cap is None else cap
+    return _TABLE[structure].cap if cap is None else cap
+
+
+def _check_cap(structure: str, n: int) -> None:
+    cap = hard_cap(structure)
+    if n > cap:
+        raise CapExceededError(f"order {n} exceeds the {structure} cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,8 @@ class EnumerationFilter:
         and the connectivity / radius / diameter constraints."""
         if not self.min_n <= g.n <= self.max_n:
             return False
-        in_class = {"tree": is_tree, "cactus": is_cactus, "block-graph": is_block_graph}.get(self.structure)
-        if in_class is not None and not in_class(g):
+        member = _TABLE[self.structure].member
+        if member is not None and not member(g):
             return False
         return self._metrics_match(g)
 
@@ -164,18 +170,10 @@ def canonical_cert(G: Graph) -> tuple[int, int]:
                 continue
             seen_twin_keys.add(kf)
             seen_twin_keys.add(kt)
-            split = list(colors)
-            # pull v in front of its cell, then renumber densely and refine
-            keyed = sorted(range(n), key=lambda u: (split[u], 0 if u == v else 1, 0))
-            dense = [0] * n
-            cur = 0
-            for idx, u in enumerate(keyed):
-                if idx:
-                    prev = keyed[idx - 1]
-                    if (split[u], u == v) != (split[prev], prev == v):
-                        cur += 1
-                dense[u] = cur
-            search(_refine(nbrs, dense))
+            # v alone keeps the cell's color; the rest of the cell and every
+            # later cell move up one, so the coloring stays dense
+            search(_refine(nbrs, [c + (c > cell_color or (c == cell_color and u != v))
+                                  for u, c in enumerate(colors)]))
 
     search(_refine(nbrs, [0] * n))
     assert best is not None
@@ -185,16 +183,19 @@ def canonical_cert(G: Graph) -> tuple[int, int]:
 # -- representative lattices ---------------------------------------------------
 
 
-def _subsets_all(n: int) -> Iterator[int]:
-    return iter(range(1 << n))
+def _all_subsets(parent: Graph) -> Iterable[int]:
+    return range(1 << parent.n)
 
 
-def _subsets_of_size(n: int, sizes: tuple[int, ...]) -> Iterator[int]:
-    from itertools import combinations
+def _single_vertices(parent: Graph) -> Iterator[int]:
+    return (1 << v for v in range(parent.n))
 
-    for k in sizes:
-        for combo in combinations(range(n), k):
-            yield sum(1 << i for i in combo)
+
+def _one_or_two_vertices(parent: Graph) -> Iterator[int]:
+    yield from _single_vertices(parent)
+    for u in range(parent.n):
+        for v in range(u + 1, parent.n):
+            yield (1 << u) | (1 << v)
 
 
 def _cluster_subsets(parent: Graph) -> Iterator[int]:
@@ -245,12 +246,26 @@ def _grow(parent: Graph, mask: int) -> Graph:
     return Graph(n + 1, edges)
 
 
-_PREDICATES = {
-    "all": lambda g: True,
-    "tree": lambda g: True,  # leaf additions preserve trees
-    "cactus": is_cactus,
-    "block-graph": is_block_graph,
+@dataclass(frozen=True)
+class _Structure:
+    """One row of the structure table (see the module docstring).  The
+    order in which ``extensions`` yields masks fixes which candidate of a
+    class ``representatives`` keeps."""
+
+    cap: int
+    member: Optional[Callable[[Graph], bool]]
+    extensions: Callable[[Graph], Iterable[int]]
+    retest: bool
+
+
+_TABLE = {
+    "all": _Structure(8, None, _all_subsets, False),
+    "tree": _Structure(11, is_tree, _single_vertices, False),
+    "cactus": _Structure(11, is_cactus, _one_or_two_vertices, True),
+    "block-graph": _Structure(11, is_block_graph, _cluster_subsets, True),
 }
+
+STRUCTURES = tuple(_TABLE)
 
 _REPS_CACHE: dict[tuple[str, int], tuple[Graph, ...]] = {}
 
@@ -260,9 +275,7 @@ def representatives(structure: str, n: int) -> tuple[Graph, ...]:
     sorted by canonical certificate.  Results are cached per process."""
     if structure not in STRUCTURES:
         raise ValueError(f"unknown structure {structure!r}")
-    cap = hard_cap(structure)
-    if n > cap:
-        raise CapExceededError(f"order {n} exceeds the {structure} cap {cap}")
+    _check_cap(structure, n)
     key = (structure, n)
     cached = _REPS_CACHE.get(key)
     if cached is not None:
@@ -270,27 +283,16 @@ def representatives(structure: str, n: int) -> tuple[Graph, ...]:
 
     if n == 1:
         reps = (Graph(1),)
-        _REPS_CACHE[key] = reps
-        return reps
-
-    parents = representatives(structure, n - 1)
-    predicate = _PREDICATES[structure]
-    kept: dict[tuple[int, int], Graph] = {}
-    for parent in parents:
-        if structure == "tree":
-            subsets = _subsets_of_size(parent.n, (1,))
-        elif structure == "cactus":
-            subsets = _subsets_of_size(parent.n, (1, 2))
-        elif structure == "block-graph":
-            subsets = _cluster_subsets(parent)
-        else:
-            subsets = _subsets_all(parent.n)
-        for mask in subsets:
-            cand = _grow(parent, mask)
-            if structure != "all" and not predicate(cand):
-                continue
-            kept.setdefault(canonical_cert(cand), cand)
-    reps = tuple(kept[cert] for cert in sorted(kept))
+    else:
+        row = _TABLE[structure]
+        kept: dict[tuple[int, int], Graph] = {}
+        for parent in representatives(structure, n - 1):
+            for mask in row.extensions(parent):
+                cand = _grow(parent, mask)
+                if row.retest and not row.member(cand):
+                    continue
+                kept.setdefault(canonical_cert(cand), cand)
+        reps = tuple(kept[cert] for cert in sorted(kept))
     _REPS_CACHE[key] = reps
     return reps
 
@@ -304,27 +306,11 @@ def enumerate_graphs(filt: EnumerationFilter) -> Iterator[Graph]:
                 yield G
 
 
-def enumerate_cacti(filt: EnumerationFilter) -> Iterator[Graph]:
-    """Cactus stream; same contract as enumerate_graphs with the structure
-    pinned (cacti are connected by definition)."""
-    pinned = EnumerationFilter(
-        max_n=filt.max_n,
-        min_n=filt.min_n,
-        structure="cactus",
-        connected=filt.connected,
-        radius=filt.radius,
-        diameter=filt.diameter,
-    )
-    return enumerate_graphs(pinned)
-
-
 def cacti_by_block_attachment(max_n: int) -> list[Graph]:
     """Second, independent cactus generator: grow block trees by attaching a
     fresh K2 or cycle block at an existing vertex.  Used to cross-check the
     augmentation lattice on overlapping ranges."""
-    cap = hard_cap("cactus")
-    if max_n > cap:
-        raise CapExceededError(f"order {max_n} exceeds the cactus cap {cap}")
+    _check_cap("cactus", max_n)
     seen: dict[tuple[int, int], Graph] = {}
     frontier: list[Graph] = [Graph(1)]
     seen[canonical_cert(Graph(1))] = Graph(1)

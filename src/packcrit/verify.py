@@ -55,7 +55,6 @@ from .independence import (
     is_alpha_critical,
     mis_avoiding,
 )
-from .iso import is_isomorphic
 from .packing import chi_rho
 
 DEFAULT_JOBS = 1
@@ -440,7 +439,8 @@ THEOREMS: dict[str, Sweep] = {sweep.theorem: sweep for sweep in (
           {_MV: 10}),
     Sweep("pro2", lambda c: f"radius-2 diameter-2 cacti n<={c[_MV]}: only C4 and C5 exist",
           _class(structure="cactus", radius=2, diameter=2),
-          lambda G, _: (True, any(is_isomorphic(G, build(FamilySpec("cycle", n=n)).graph) for n in (4, 5))),
+          # a connected 2-regular graph is a cycle
+          lambda G, _: (True, G.n in (4, 5) and is_connected(G) and all(G.degree(v) == 2 for v in G.vertices())),
           {_MV: 10}),
     # The only radius-2 diameter-3 tree that is critical is P4.
     Sweep("pro3", lambda c: f"radius-2 diameter-3 trees n<={c[_MV]}: critical iff P4",

@@ -198,3 +198,5 @@ class TestEnvCap:
         assert code == 0 and len(out.splitlines()) == 1 + 1 + 2 + 6
         code, out, _ = run(capsys, "verify", "lemma1", "--jobs", "1")
         assert code == 0 and "2 instances, cycles up to C4" in out
+        code, out, _ = run(capsys, "verify", "thm12", "--jobs", "1")
+        assert code == 0 and "<=4 vertices" in out

@@ -10,18 +10,20 @@ from packcrit.enumeration import (
     EnumerationFilter,
     cacti_by_block_attachment,
     canonical_cert,
-    enumerate_cacti,
     enumerate_graphs,
     representatives,
 )
 from packcrit.errors import CapExceededError
-from packcrit.graphs import Graph, is_cactus, is_connected, is_tree
+from packcrit.graphs import Graph, is_block_graph, is_cactus, is_connected, is_tree
 from packcrit.iso import is_isomorphic
 from oracles import connected_counts_from_all, count_unlabeled_graphs
 
 # Connected-class counts for n = 3..7, frozen from the Burnside/Euler oracle
 # (recomputed for n <= 6 below; the n=7 value is the frozen regression).
 CONNECTED_COUNTS = {3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+# Class membership per structure, stated here independently of the module's table.
+MEMBERSHIP = {"all": lambda g: True, "tree": is_tree, "cactus": is_cactus, "block-graph": is_block_graph}
 
 
 class TestCounts:
@@ -42,7 +44,7 @@ class TestCounts:
         assert all(is_tree(g) for g in got)
 
     def test_cacti_n3(self):
-        got = list(enumerate_cacti(EnumerationFilter(max_n=3, min_n=3)))
+        got = list(enumerate_graphs(EnumerationFilter(max_n=3, min_n=3, structure="cactus")))
         assert len(got) == 2
 
 
@@ -69,7 +71,7 @@ class TestIsomorphFreeness:
 
 class TestFilters:
     def test_rad2_diam2_cacti_upto5(self):
-        got = list(enumerate_cacti(EnumerationFilter(max_n=5, radius=2, diameter=2)))
+        got = list(enumerate_graphs(EnumerationFilter(max_n=5, structure="cactus", radius=2, diameter=2)))
         assert len(got) == 2  # C4 and C5
         assert sorted(g.n for g in got) == [4, 5]
 
@@ -81,16 +83,18 @@ class TestFilters:
         )
         assert len(got) == 1 and got[0].n == 4  # P4
 
-    def test_cactus_equals_filtered_general(self):
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_lattice_equals_filtered_general(self, structure):
+        member = MEMBERSHIP[structure]
         for n in range(1, 7):
             via_structure = {
                 canonical_cert(g)
-                for g in enumerate_cacti(EnumerationFilter(max_n=n, min_n=n))
+                for g in enumerate_graphs(EnumerationFilter(max_n=n, min_n=n, structure=structure))
             }
             via_filter = {
                 canonical_cert(g)
                 for g in representatives("all", n)
-                if is_cactus(g)
+                if member(g)
             }
             assert via_structure == via_filter
 
