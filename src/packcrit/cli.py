@@ -22,7 +22,7 @@ from .classify import (
     classify_radius1,
 )
 from .criticality import is_edge_critical, is_vertex_critical
-from .enumeration import EnumerationFilter, enumerate_graphs, env_cap
+from .enumeration import STRUCTURES, EnumerationFilter, enumerate_graphs, env_cap
 from .errors import GraphInputError, SpecSyntaxError
 from .families import build, parse_spec
 from .graphio import emit_dot, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6, read_graph6_lines
@@ -146,10 +146,13 @@ def cmd_verify(args) -> int:
     if args.corpus:
         with open(args.corpus, "r", encoding="utf-8") as fh:
             corpus = read_graph6_lines(fh.read())
+    # PACKCRIT_MAX_N sets only the sizes the sweep reads; an explicit flag
+    # for a size it does not read is passed on for run_sweep to refuse.
+    reads = THEOREMS[args.theorem].defaults
     report = run_sweep(
         args.theorem,
-        max_vertices=_size(args.max_vertices),
-        base_max=_size(args.base_max),
+        max_vertices=_size(args.max_vertices) if "max_vertices" in reads else args.max_vertices,
+        base_max=_size(args.base_max) if "base_max" in reads else args.base_max,
         jobs=args.jobs,
         corpus=corpus,
     )
@@ -234,7 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--min-n", type=int, default=1)
     shape = p.add_mutually_exclusive_group()
-    for structure in ("cactus", "tree", "block-graph"):
+    for structure in STRUCTURES:
+        if structure == "all":
+            continue
         shape.add_argument(f"--{structure}", dest="structure", action="store_const", const=structure, default="all")
     p.add_argument("--connected", action="store_true")
     p.add_argument("--rad", type=int, default=None)

@@ -2,16 +2,20 @@
 
 Each structure class is one row of ``_TABLE``: its default size cap, the
 class predicate ``EnumerationFilter.matches`` applies, the neighbor subsets
-a new vertex may take when it extends a parent (arbitrary subsets in
-general; a single neighbor for trees; one or two for cacti, since deleting
-a non-cut vertex of a leaf block always leaves a cactus; clique-cluster
-subsets for block graphs), and whether a grown candidate must be re-tested
-against the predicate (cacti and block graphs; a leaf added to a tree is a
-tree, and every graph is in ``all``).  Representatives at each order extend
-the previous order's representatives by those subsets.  Candidates
-deduplicate by canonical certificate, keeping the first candidate of each
-class, and each level is emitted sorted by that certificate, so the stream
-is deterministic.  ``iso`` stays out of this path: it is the independent
+a new vertex may take when it extends a parent, and whether a grown
+candidate must be re-tested against the predicate.  The subsets are
+arbitrary in general and a single neighbor for trees.  For cacti they are a
+single neighbor, or two neighbors joined by a path of bridges: deleting a
+non-cut vertex of a leaf block always leaves a cactus, and a new vertex on
+u and v closes a cycle through every block between them, so the result is
+a cactus exactly when those blocks are all bridges.  Block graphs take
+clique-cluster subsets.  Only block-graph candidates are re-tested; a leaf
+added to a tree is a tree, the cactus subsets grow only cacti, and every
+graph is in ``all``.  Representatives at each order extend the previous
+order's representatives by those subsets.  Candidates deduplicate by
+canonical certificate, keeping the first candidate of each class, and each
+level is emitted sorted by that certificate, so the stream is
+deterministic.  ``iso`` stays out of this path: it is the independent
 oracle the tests check the certificates against.
 """
 
@@ -24,6 +28,8 @@ from typing import Callable, Iterable, Iterator, Optional
 from .errors import CapExceededError
 from .graphs import (
     Graph,
+    bridges,
+    components,
     eccentricities,
     is_block_graph,
     is_cactus,
@@ -105,20 +111,40 @@ class EnumerationFilter:
 
 
 def _refine(nbrs: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
+    """Refine a dense coloring (colors 0..k-1) until it is equitable.
+
+    Each round walks the cells in color order.  A singleton cell takes the
+    next color as it is; a larger cell splits by the sorted colors of its
+    members' neighbors, in increasing order of that key.  The colors stay
+    dense and ordered, so the rounds stop at the first one that splits no
+    cell."""
     n = len(colors)
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in nbrs[v]))) for v in range(n)
-        ]
-        order = sorted(range(n), key=lambda v: sigs[v])
+        cells: list[list[int]] = [[] for _ in range(n)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
         new = [0] * n
-        cur = 0
-        for idx, v in enumerate(order):
-            if idx and sigs[v] != sigs[order[idx - 1]]:
-                cur += 1
-            new[v] = cur
-        if new == colors:
-            return colors
+        nxt = 0
+        split = False
+        color_of = colors.__getitem__
+        for cell in cells:
+            if not cell:
+                break
+            if len(cell) == 1:
+                new[cell[0]] = nxt
+                nxt += 1
+                continue
+            keyed = sorted([(tuple(sorted(map(color_of, nbrs[v]))), v) for v in cell])
+            prev = keyed[0][0]
+            for sig, v in keyed:
+                if sig != prev:
+                    prev = sig
+                    nxt += 1
+                    split = True
+                new[v] = nxt
+            nxt += 1
+        if not split:
+            return new
         colors = new
 
 
@@ -191,11 +217,20 @@ def _single_vertices(parent: Graph) -> Iterator[int]:
     return (1 << v for v in range(parent.n))
 
 
-def _one_or_two_vertices(parent: Graph) -> Iterator[int]:
+def _bridge_paths(parent: Graph) -> Iterator[int]:
+    """Every single vertex, then every pair inside one component of the
+    bridge forest: the cactus extensions (see the module docstring), in the
+    order of all one- and two-vertex masks."""
+    n = parent.n
+    comp = [0] * n
+    for i, members in enumerate(components(Graph(n, bridges(parent)))):
+        for v in members:
+            comp[v] = i
     yield from _single_vertices(parent)
-    for u in range(parent.n):
-        for v in range(u + 1, parent.n):
-            yield (1 << u) | (1 << v)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if comp[u] == comp[v]:
+                yield (1 << u) | (1 << v)
 
 
 def _cluster_subsets(parent: Graph) -> Iterator[int]:
@@ -258,10 +293,11 @@ class _Structure:
     retest: bool
 
 
+# Row order is the order of the ``packcrit enumerate`` structure flags.
 _TABLE = {
     "all": _Structure(8, None, _all_subsets, False),
+    "cactus": _Structure(11, is_cactus, _bridge_paths, False),
     "tree": _Structure(11, is_tree, _single_vertices, False),
-    "cactus": _Structure(11, is_cactus, _one_or_two_vertices, True),
     "block-graph": _Structure(11, is_block_graph, _cluster_subsets, True),
 }
 
@@ -340,4 +376,4 @@ def cacti_by_block_attachment(max_n: int) -> list[Graph]:
                         seen[cert] = cand
                         nxt.append(cand)
         frontier = nxt
-    return sorted(seen.values(), key=canonical_cert)
+    return [seen[cert] for cert in sorted(seen)]

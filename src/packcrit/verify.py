@@ -160,17 +160,21 @@ def run_sweep(
 
     ``corpus`` substitutes externally supplied graphs for internal
     enumeration in class-based sweeps; the sweep's hypothesis class and
-    extra predicate still filter them.  At most
+    extra predicate still filter them.  A size the sweep's defaults do not
+    name raises ValueError rather than being ignored.  At most
     ``min(jobs, os.cpu_count(), number of instances)`` worker processes run.
     """
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem!r}; known: {sorted(THEOREMS)}")
     sweep = THEOREMS[theorem]
     cfg = dict(sweep.defaults)
-    if max_vertices is not None:
-        cfg["max_vertices"] = max_vertices
-    if base_max is not None:
-        cfg["base_max"] = base_max
+    for key, size in (("max_vertices", max_vertices), ("base_max", base_max)):
+        if size is None:
+            continue
+        if key not in cfg:
+            reads = ", ".join(sorted(sweep.defaults)) or "no size"
+            raise ValueError(f"{theorem} does not read {key} (it reads {reads})")
+        cfg[key] = size
     cfg["corpus"] = corpus
     t0 = time.perf_counter()
     payloads = sweep.payloads(cfg)

@@ -212,3 +212,25 @@ def brute_bridges(G: Graph) -> frozenset[tuple[int, int]]:
     return frozenset(
         e for e in edges if _component_count(vertices, [f for f in edges if f != e]) > before
     )
+
+
+# -- reference color refinement ------------------------------------------------
+
+
+def reference_refine(nbrs: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
+    """Color refinement by a global sort: every round sorts all vertices on
+    (own color, sorted neighbor colors) and numbers the distinct keys in
+    order, until a round changes nothing."""
+    n = len(colors)
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in nbrs[v]))) for v in range(n)]
+        order = sorted(range(n), key=lambda v: sigs[v])
+        new = [0] * n
+        cur = 0
+        for idx, v in enumerate(order):
+            if idx and sigs[v] != sigs[order[idx - 1]]:
+                cur += 1
+            new[v] = cur
+        if new == colors:
+            return colors
+        colors = new

@@ -134,6 +134,19 @@ class TestVerify:
         assert "  DISAGREE C5: predicted=None oracle=None error=CharacterizationError: no main block" in out.splitlines()
         assert err == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("thm12", "--max-vertices", "4"),  # hub sweeps read only --base-max
+        ("pro6", "--max-vertices", "4"),  # pro6, lemma6 and teo1 read no size
+        ("lemma6", "--base-max", "3"),
+        ("teo1", "--max-vertices", "4"),
+        ("teo4", "--base-max", "5"),
+    ])
+    def test_size_flag_the_sweep_does_not_read(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("PACKCRIT_MAX_N", raising=False)
+        code, out, err = run(capsys, "verify", *argv, "--jobs", "1")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {argv[0]} does not read ")
+
     def test_parallel_matches_serial(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.ldjson", tmp_path / "b.ldjson"
         run(capsys, "verify", "lemma1", "--jobs", "1", "--out", str(p1))
@@ -182,6 +195,36 @@ class TestEnumerate:
         assert counts == 1 + 1 + 2 + 6
 
 
+# `packcrit enumerate --help` at 80 columns.  The structure flags come from
+# the enumeration table, so its row order fixes their order here.
+ENUMERATE_HELP = """\
+usage: packcrit enumerate [-h] [--max-n MAX_N] [--min-n MIN_N]
+                          [--cactus | --tree | --block-graph] [--connected]
+                          [--rad RAD] [--diam DIAM]
+                          [--format {graph6,edges,dot}]
+
+options:
+  -h, --help            show this help message and exit
+  --max-n MAX_N
+  --min-n MIN_N
+  --cactus
+  --tree
+  --block-graph
+  --connected
+  --rad RAD
+  --diam DIAM
+  --format {graph6,edges,dot}
+"""
+
+
+def test_enumerate_help_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == ENUMERATE_HELP
+
+
 class TestEnvCap:
     def test_malformed_value(self, capsys, monkeypatch):
         monkeypatch.setenv("PACKCRIT_MAX_N", "abc")
@@ -200,3 +243,5 @@ class TestEnvCap:
         assert code == 0 and "2 instances, cycles up to C4" in out
         code, out, _ = run(capsys, "verify", "thm12", "--jobs", "1")
         assert code == 0 and "<=4 vertices" in out
+        code, out, _ = run(capsys, "verify", "pro6", "--jobs", "1")
+        assert code == 0 and "pro6: OK" in out

@@ -1,22 +1,27 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
 from packcrit.enumeration import (
+    _TABLE,
     STRUCTURES,
     EnumerationFilter,
+    _grow,
+    _refine,
     cacti_by_block_attachment,
     canonical_cert,
     enumerate_graphs,
     representatives,
 )
 from packcrit.errors import CapExceededError
+from packcrit.graphio import emit_graph6
 from packcrit.graphs import Graph, is_block_graph, is_cactus, is_connected, is_tree
 from packcrit.iso import is_isomorphic
-from oracles import connected_counts_from_all, count_unlabeled_graphs
+from oracles import connected_counts_from_all, count_unlabeled_graphs, reference_refine
 
 # Connected-class counts for n = 3..7, frozen from the Burnside/Euler oracle
 # (recomputed for n <= 6 below; the n=7 value is the frozen regression).
@@ -177,3 +182,54 @@ class TestBlockAttachmentGenerator:
         for n in range(1, 9):
             primary.update(canonical_cert(g) for g in representatives("cactus", n))
         assert alt == primary
+
+
+class TestCactusExtensions:
+    def test_exactly_the_masks_that_grow_a_cactus(self):
+        # Every one- or two-vertex mask, in lattice order, kept when the grown
+        # graph is a cactus: the row's bridge-path generator must yield these.
+        extensions = _TABLE["cactus"].extensions
+        for n in range(1, 10):
+            masks = [1 << v for v in range(n)] + [(1 << u) | (1 << v) for u, v in combinations(range(n), 2)]
+            for parent in representatives("cactus", n):
+                expected = [m for m in masks if is_cactus(_grow(parent, m))]
+                assert list(extensions(parent)) == expected, emit_graph6(parent)
+
+
+class TestRefine:
+    def test_matches_global_sort_reference(self, all_graphs_upto_6):
+        for g in all_graphs_upto_6:
+            n = g.n
+            nbrs = tuple(g.neighbors(v) for v in range(n))
+            stable = reference_refine(nbrs, [0] * n)
+            starts = [[0] * n]
+            starts += [[int(u != v) for u in range(n)] for v in range(n)]
+            # v individualized inside its non-singleton cell of the stable
+            # coloring, as the certificate search does
+            starts += [
+                [c + (c > stable[v] or (c == stable[v] and u != v)) for u, c in enumerate(stable)]
+                for v in range(n) if stable.count(stable[v]) > 1
+            ]
+            for colors in starts:
+                assert _refine(nbrs, list(colors)) == reference_refine(nbrs, list(colors)), (emit_graph6(g), colors)
+
+
+# (count, SHA-256) over the ordered lines "<graph6> <canonical_cert>" of
+# orders 1..n.  The kept representative of each class and every certificate
+# depend on the extension order and on the refinement's ordered partition,
+# so a change to either must leave these as they are.
+STREAM_DIGESTS = {
+    ("cactus", 10): (2866, "cce5f695504aef70c44a3af20da264065c2de6c8c2b39bc449b6ea39f6e6af42"),
+    ("all", 7): (1252, "b6b45b7d823e410b481a3f4a2b1c8cb2244fd575f45fdca13884405da206ab1b"),
+}
+
+
+@pytest.mark.parametrize("structure,n", sorted(STREAM_DIGESTS))
+def test_stream_digest_pinned(structure, n):
+    digest = hashlib.sha256()
+    count = 0
+    for k in range(1, n + 1):
+        for g in representatives(structure, k):
+            digest.update(f"{emit_graph6(g)} {canonical_cert(g)}\n".encode())
+            count += 1
+    assert (count, digest.hexdigest()) == STREAM_DIGESTS[structure, n]
