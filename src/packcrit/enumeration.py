@@ -1,22 +1,33 @@
 """Isomorph-free generation of small graphs, trees, cacti, and block graphs.
 
 Each structure class is one row of ``_TABLE``: its default size cap, the
-class predicate ``EnumerationFilter.matches`` applies, the neighbor subsets
-a new vertex may take when it extends a parent, and whether a grown
-candidate must be re-tested against the predicate.  The subsets are
+class predicate ``EnumerationFilter.matches`` applies, and the neighbor
+subsets a new vertex may take when it extends a parent.  Every subset grows
+a member of the class, so no candidate is re-tested.  The subsets are
 arbitrary in general and a single neighbor for trees.  For cacti they are a
 single neighbor, or two neighbors joined by a path of bridges: deleting a
 non-cut vertex of a leaf block always leaves a cactus, and a new vertex on
 u and v closes a cycle through every block between them, so the result is
-a cactus exactly when those blocks are all bridges.  Block graphs take
-clique-cluster subsets.  Only block-graph candidates are re-tested; a leaf
-added to a tree is a tree, the cactus subsets grow only cacti, and every
-graph is in ``all``.  Representatives at each order extend the previous
-order's representatives by those subsets.  Candidates deduplicate by
-canonical certificate, keeping the first candidate of each class, and each
-level is emitted sorted by that certificate, so the stream is
-deterministic.  ``iso`` stays out of this path: it is the independent
-oracle the tests check the certificates against.
+a cactus exactly when those blocks are all bridges.  For block graphs they
+are a single neighbor, or the whole vertex set of one block: two
+non-adjacent neighbors of the new vertex would lie in one non-complete
+block with it, and a clique short of its block would merge into that block
+without completing it.
+
+Representatives at each order extend the previous order's representatives
+by those subsets.  Candidates deduplicate by canonical certificate, keeping
+the first candidate of each class, and each level is emitted sorted by that
+certificate, so the stream is deterministic.  A parent is extended once per
+orbit of its automorphism group on the row's subsets (B. D. McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998): every row's
+subsets are closed under the group, two subsets in one orbit grow
+isomorphic candidates, and only the first subset of each orbit, in the
+row's order, is tried.  The first candidate of a class is always the first
+of its orbit, so the kept representatives, and with them the stream, are
+those of trying every subset.  The group's generators come from a second
+run of the certificate search on the parent; they are not stored.  ``iso``
+stays out of this path: it is the independent oracle the tests check the
+certificates against.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .errors import CapExceededError
 from .graphs import (
     Graph,
+    block_decomposition,
     bridges,
     components,
     eccentricities,
@@ -93,18 +105,35 @@ class EnumerationFilter:
             return False
         return self._metrics_match(g)
 
+    @property
+    def _reads_metrics(self) -> bool:
+        return self.connected is not None or self.radius is not None or self.diameter is not None
+
     def _metrics_match(self, g: Graph) -> bool:
-        wants_metrics = self.radius is not None or self.diameter is not None
-        if self.connected is None and not wants_metrics:
+        if not self._reads_metrics:
             return True
-        if not is_connected(g):
-            return self.connected is False and not wants_metrics
-        if self.connected is False:
-            return False
-        if not wants_metrics:
-            return True
-        eccs = eccentricities(g)
-        return self.radius in (None, min(eccs)) and self.diameter in (None, max(eccs))
+        if self.radius is None and self.diameter is None:
+            return self._accepts(is_connected(g), None, None)
+        return self._accepts(*_metrics(g))
+
+    def _accepts(self, connected: bool, radius: Optional[int], diameter: Optional[int]) -> bool:
+        """The connectivity / radius / diameter constraints, given a graph's
+        metrics; radius and diameter are None when they were not computed,
+        which is always so for a disconnected graph."""
+        if not connected:
+            return self.connected is False and self.radius is None and self.diameter is None
+        return self.connected is not False and self.radius in (None, radius) and self.diameter in (None, diameter)
+
+
+_Metrics = tuple[bool, Optional[int], Optional[int]]
+
+
+def _metrics(g: Graph) -> _Metrics:
+    """(connected, radius, diameter), the last two None when disconnected."""
+    if not is_connected(g):
+        return (False, None, None)
+    eccs = eccentricities(g)
+    return (True, min(eccs), max(eccs))
 
 
 # -- canonical certificates ---------------------------------------------------
@@ -148,22 +177,34 @@ def _refine(nbrs: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
         colors = new
 
 
-def canonical_cert(G: Graph) -> tuple[int, int]:
-    """Canonical certificate (order, packed adjacency bits): equal exactly
-    for isomorphic graphs.
+def _search(G: Graph) -> tuple[int, list[list[int]]]:
+    """The individualization-refinement search behind ``canonical_cert``:
+    the minimum adjacency code over the discrete leaves, and permutations
+    (``perm[v]`` is the image of ``v``) that generate Aut(G).
 
-    Individualization-refinement search: refine the all-equal coloring to a
-    stable partition, split the first non-singleton cell on every member,
-    and keep the minimum adjacency encoding over the discrete leaves.
+    Refine the all-equal coloring to a stable partition, split the first
+    non-singleton cell on every member, and read each discrete leaf's
+    adjacency code.  Two kinds of generator come out of the search.  A leaf
+    whose code equals the best leaf's gives the automorphism between the
+    two labelings.  A twin (a vertex with the open or closed neighborhood
+    of a member already split on) is not split on, because the transposition
+    of the two twins is an automorphism that fixes the current node; that
+    transposition is returned.  Any automorphism maps the best leaf to a leaf
+    of the unskipped tree, twin transpositions move that leaf into the
+    searched tree, where its code equals the best and was recorded, so the
+    returned permutations generate the whole group.
     """
     n = G.n
     if n <= 1:
-        return (n, 0)
+        return 0, []
     nbrs = tuple(G.neighbors(v) for v in range(n))
     adj = G.adjacency_bits()
     best: Optional[int] = None
+    best_inv: list[int] = []
+    gens: list[list[int]] = []
 
-    def leaf_bits(colors: list[int]) -> int:
+    def leaf(colors: list[int]) -> None:
+        nonlocal best, best_inv
         inv = [0] * n
         for v, c in enumerate(colors):
             inv[c] = v
@@ -172,30 +213,36 @@ def canonical_cert(G: Graph) -> tuple[int, int]:
             ap = adj[inv[p]]
             for q in range(p + 1, n):
                 bits = (bits << 1) | ((ap >> inv[q]) & 1)
-        return bits
+        if best is None or bits < best:
+            best, best_inv = bits, inv
+        elif bits == best:
+            perm = [0] * n
+            for p, v in enumerate(best_inv):
+                perm[v] = inv[p]
+            gens.append(perm)
 
-    def search(colors: list[int]):
-        nonlocal best
+    def search(colors: list[int]) -> None:
         if max(colors) == n - 1:
-            cert = leaf_bits(colors)
-            if best is None or cert < best:
-                best = cert
+            leaf(colors)
             return
         counts: dict[int, int] = {}
         for c in colors:
             counts[c] = counts.get(c, 0) + 1
         cell_color = min(c for c, k in counts.items() if k >= 2)
         cell = [v for v in range(n) if colors[v] == cell_color]
-        # Twin vertices (equal open or closed neighborhoods) are swapped by
-        # an automorphism, so one branch per twin class suffices.
-        seen_twin_keys: set[tuple] = set()
+        # Twins have equal open or equal closed neighborhoods.  An open one
+        # never equals a closed one: the closed one of v holds v, so it could
+        # only be the open one of a neighbor u of v, which lacks u.  So both
+        # kinds of key share one dict.
+        split_on: dict[int, int] = {}
         for v in cell:
-            kf = ("f", adj[v])
-            kt = ("t", adj[v] | (1 << v))
-            if kf in seen_twin_keys or kt in seen_twin_keys:
+            twin = split_on.get(adj[v], split_on.get(adj[v] | (1 << v)))
+            if twin is not None:
+                swap = list(range(n))
+                swap[v], swap[twin] = twin, v
+                gens.append(swap)
                 continue
-            seen_twin_keys.add(kf)
-            seen_twin_keys.add(kt)
+            split_on[adj[v]] = split_on[adj[v] | (1 << v)] = v
             # v alone keeps the cell's color; the rest of the cell and every
             # later cell move up one, so the coloring stays dense
             search(_refine(nbrs, [c + (c > cell_color or (c == cell_color and u != v))
@@ -203,7 +250,13 @@ def canonical_cert(G: Graph) -> tuple[int, int]:
 
     search(_refine(nbrs, [0] * n))
     assert best is not None
-    return (n, best)
+    return best, gens
+
+
+def canonical_cert(G: Graph) -> tuple[int, int]:
+    """Canonical certificate (order, packed adjacency bits): equal exactly
+    for isomorphic graphs.  The minimum leaf code of ``_search``."""
+    return (G.n, _search(G)[0])
 
 
 # -- representative lattices ---------------------------------------------------
@@ -233,41 +286,43 @@ def _bridge_paths(parent: Graph) -> Iterator[int]:
                 yield (1 << u) | (1 << v)
 
 
-def _cluster_subsets(parent: Graph) -> Iterator[int]:
-    """Subsets whose induced subgraph is a disjoint union of cliques (the
-    only neighborhoods a new block-graph vertex can take)."""
-    n = parent.n
-    bits = parent.adjacency_bits()
-    for mask in range(1 << n):
-        ok = True
-        rem = mask
-        while rem and ok:
-            b = rem & -rem
-            v = b.bit_length() - 1
-            comp = 0
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                xb = 1 << x
-                if comp & xb:
-                    continue
-                comp |= xb
-                nxt = bits[x] & mask & ~comp
-                while nxt:
-                    nb = nxt & -nxt
-                    stack.append(nb.bit_length() - 1)
-                    nxt ^= nb
-            cnt = comp.bit_count()
-            m = comp
-            while m and ok:
-                vb = m & -m
-                u = vb.bit_length() - 1
-                m ^= vb
-                if (bits[u] & comp).bit_count() != cnt - 1:
-                    ok = False
-            rem &= ~comp
-        if ok:
-            yield mask
+def _single_vertices_and_blocks(parent: Graph) -> Iterator[int]:
+    """Every single vertex, then the vertex set of every block with an edge,
+    blocks in increasing mask order: the block-graph extensions (see the
+    module docstring)."""
+    yield from _single_vertices(parent)
+    yield from sorted(
+        sum(1 << v for v in b.vertices) for b in block_decomposition(parent).blocks if len(b.vertices) > 1
+    )
+
+
+def _orbit_firsts(masks: Iterable[int], gens: list[list[int]]) -> Iterator[int]:
+    """The first mask, in the order ``masks`` yields them, of each orbit of
+    the group generated by ``gens`` acting on vertex sets.  ``masks`` must
+    be closed under that group."""
+    if not gens:
+        yield from masks
+        return
+    images = [[1 << w for w in perm] for perm in gens]
+    seen: set[int] = set()
+    for mask in masks:
+        if mask in seen:
+            continue
+        yield mask
+        seen.add(mask)
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for image in images:
+                x = m
+                y = 0
+                while x:
+                    b = x & -x
+                    y |= image[b.bit_length() - 1]
+                    x ^= b
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
 
 
 def _grow(parent: Graph, mask: int) -> Graph:
@@ -290,20 +345,22 @@ class _Structure:
     cap: int
     member: Optional[Callable[[Graph], bool]]
     extensions: Callable[[Graph], Iterable[int]]
-    retest: bool
 
 
 # Row order is the order of the ``packcrit enumerate`` structure flags.
 _TABLE = {
-    "all": _Structure(8, None, _all_subsets, False),
-    "cactus": _Structure(11, is_cactus, _bridge_paths, False),
-    "tree": _Structure(11, is_tree, _single_vertices, False),
-    "block-graph": _Structure(11, is_block_graph, _cluster_subsets, True),
+    "all": _Structure(8, None, _all_subsets),
+    "cactus": _Structure(11, is_cactus, _bridge_paths),
+    "tree": _Structure(11, is_tree, _single_vertices),
+    "block-graph": _Structure(11, is_block_graph, _single_vertices_and_blocks),
 }
 
 STRUCTURES = tuple(_TABLE)
 
 _REPS_CACHE: dict[tuple[str, int], tuple[Graph, ...]] = {}
+# ``_level_metrics`` of the cached levels that a connectivity, radius or
+# diameter filter has read.
+_METRICS_CACHE: dict[tuple[str, int], tuple[_Metrics, ...]] = {}
 
 
 def representatives(structure: str, n: int) -> tuple[Graph, ...]:
@@ -323,22 +380,34 @@ def representatives(structure: str, n: int) -> tuple[Graph, ...]:
         row = _TABLE[structure]
         kept: dict[tuple[int, int], Graph] = {}
         for parent in representatives(structure, n - 1):
-            for mask in row.extensions(parent):
+            for mask in _orbit_firsts(row.extensions(parent), _search(parent)[1]):
                 cand = _grow(parent, mask)
-                if row.retest and not row.member(cand):
-                    continue
                 kept.setdefault(canonical_cert(cand), cand)
         reps = tuple(kept[cert] for cert in sorted(kept))
     _REPS_CACHE[key] = reps
     return reps
 
 
+def _level_metrics(structure: str, n: int) -> tuple[_Metrics, ...]:
+    """``_metrics`` of each of ``representatives(structure, n)``, in the
+    same order, computed on the first read and cached per process."""
+    key = (structure, n)
+    metrics = _METRICS_CACHE.get(key)
+    if metrics is None:
+        metrics = _METRICS_CACHE[key] = tuple(map(_metrics, representatives(structure, n)))
+    return metrics
+
+
 def enumerate_graphs(filt: EnumerationFilter) -> Iterator[Graph]:
     """Stream exactly one representative per isomorphism class matching the
     filter, in deterministic (order, canonical certificate) order."""
     for n in range(filt.min_n, filt.max_n + 1):
-        for G in representatives(filt.structure, n):
-            if filt._metrics_match(G):
+        reps = representatives(filt.structure, n)
+        if not filt._reads_metrics:
+            yield from reps
+            continue
+        for G, metrics in zip(reps, _level_metrics(filt.structure, n)):
+            if filt._accepts(*metrics):
                 yield G
 
 

@@ -234,3 +234,36 @@ def reference_refine(nbrs: tuple[tuple[int, ...], ...], colors: list[int]) -> li
         if new == colors:
             return colors
         colors = new
+
+
+# -- brute-force automorphisms -------------------------------------------------
+
+
+def brute_automorphisms(G: Graph) -> frozenset[tuple[int, ...]]:
+    """Every permutation p (p[v] is the image of v) that maps edges to edges.
+
+    Vertices are assigned in index order; a partial assignment survives only
+    while every pair among the assigned vertices keeps its adjacency, which
+    keeps graphs of up to eight or so vertices quick."""
+    n = G.n
+    adjacent = [[False] * n for _ in range(n)]
+    for a, b in G.edges():
+        adjacent[a][b] = adjacent[b][a] = True
+    found = []
+    image: list[int] = []
+
+    def extend() -> None:
+        v = len(image)
+        if v == n:
+            found.append(tuple(image))
+            return
+        for w in range(n):
+            if w in image:
+                continue
+            if all(adjacent[u][v] == adjacent[image[u]][w] for u in range(v)):
+                image.append(w)
+                extend()
+                image.pop()
+
+    extend()
+    return frozenset(found)

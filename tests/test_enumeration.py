@@ -6,12 +6,15 @@ from itertools import combinations
 
 import pytest
 
+from packcrit import enumeration
 from packcrit.enumeration import (
     _TABLE,
     STRUCTURES,
     EnumerationFilter,
     _grow,
+    _orbit_firsts,
     _refine,
+    _search,
     cacti_by_block_attachment,
     canonical_cert,
     enumerate_graphs,
@@ -21,7 +24,7 @@ from packcrit.errors import CapExceededError
 from packcrit.graphio import emit_graph6
 from packcrit.graphs import Graph, is_block_graph, is_cactus, is_connected, is_tree
 from packcrit.iso import is_isomorphic
-from oracles import connected_counts_from_all, count_unlabeled_graphs, reference_refine
+from oracles import brute_automorphisms, connected_counts_from_all, count_unlabeled_graphs, reference_refine
 
 # Connected-class counts for n = 3..7, frozen from the Burnside/Euler oracle
 # (recomputed for n <= 6 below; the n=7 value is the frozen regression).
@@ -194,6 +197,108 @@ class TestCactusExtensions:
             for parent in representatives("cactus", n):
                 expected = [m for m in masks if is_cactus(_grow(parent, m))]
                 assert list(extensions(parent)) == expected, emit_graph6(parent)
+
+
+class TestBlockGraphExtensions:
+    def test_exactly_the_masks_that_grow_a_block_graph(self):
+        # Every mask, in increasing order, kept when the grown graph is a
+        # block graph: the row's generator must yield these, singles first.
+        extensions = _TABLE["block-graph"].extensions
+        for n in range(1, 9):
+            for parent in representatives("block-graph", n):
+                expected = [m for m in range(1 << n) if is_block_graph(_grow(parent, m))]
+                singles = [m for m in expected if m.bit_count() == 1]
+                assert list(extensions(parent)) == singles + [m for m in expected if m not in singles], emit_graph6(parent)
+
+
+def _closure(n: int, gens: list[list[int]]) -> set[tuple[int, ...]]:
+    """The group the permutations generate, by breadth-first products."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[p[v]] for v in range(n))
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
+
+
+class TestAutomorphismGenerators:
+    @staticmethod
+    def _check(g: Graph) -> None:
+        edges = set(g.edges())
+        gens = _search(g)[1]
+        for perm in gens:
+            assert {tuple(sorted((perm[a], perm[b]))) for a, b in edges} == edges, (emit_graph6(g), perm)
+        assert _closure(g.n, gens) == brute_automorphisms(g), emit_graph6(g)
+
+    def test_generate_the_group_of_every_graph_upto_6(self, all_graphs_upto_6):
+        for g in all_graphs_upto_6:
+            self._check(g)
+
+    def test_generate_the_group_of_cacti_7_and_8(self):
+        for n in (7, 8):
+            for g in representatives("cactus", n):
+                self._check(g)
+
+    def test_star_needs_the_twin_transpositions(self):
+        # Every leaf of K1,3 is a twin of the first, so the search explores
+        # one leaf of the tree and the group comes from the twins alone.
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert len(_closure(4, _search(star)[1])) == 6
+
+    def test_orbit_firsts_match_brute_orbits(self, all_graphs_upto_6):
+        # The first mask of each orbit of the brute group on vertex sets.
+        for g in all_graphs_upto_6:
+            group = brute_automorphisms(g)
+            seen: set[int] = set()
+            expected = []
+            for mask in range(1 << g.n):
+                if mask not in seen:
+                    expected.append(mask)
+                    seen.update(sum(1 << p[v] for v in range(g.n) if mask >> v & 1) for p in group)
+            assert list(_orbit_firsts(range(1 << g.n), _search(g)[1])) == expected, emit_graph6(g)
+
+
+# Candidates grown while building each level from scratch: one per orbit of
+# the parent's automorphism group on the row's masks.  Trying every mask
+# grows 11,290 and 15,823.
+CANDIDATE_COUNTS = {("all", 7): 5758, ("cactus", 10): 11022}
+
+
+@pytest.mark.parametrize("structure,n", sorted(CANDIDATE_COUNTS))
+def test_candidate_counts_pinned(monkeypatch, structure, n):
+    grown = []
+
+    def counting_grow(parent, mask):
+        grown.append(mask)
+        return _grow(parent, mask)
+
+    monkeypatch.setattr(enumeration, "_REPS_CACHE", {})
+    monkeypatch.setattr(enumeration, "_grow", counting_grow)
+    representatives(structure, n)
+    assert len(grown) == CANDIDATE_COUNTS[structure, n]
+
+
+def test_filter_metrics_computed_once_per_representative(monkeypatch):
+    calls = []
+    eccentricities = enumeration.eccentricities
+
+    def counting_eccentricities(g):
+        calls.append(g)
+        return eccentricities(g)
+
+    monkeypatch.setattr(enumeration, "_METRICS_CACHE", {})
+    monkeypatch.setattr(enumeration, "eccentricities", counting_eccentricities)
+    first = list(enumerate_graphs(EnumerationFilter(max_n=8, structure="cactus", radius=2)))
+    second = list(enumerate_graphs(EnumerationFilter(max_n=8, structure="cactus", diameter=3, connected=True)))
+    connected = [g for n in range(1, 9) for g in representatives("cactus", n) if is_connected(g)]
+    assert len(calls) == len(connected)
+    assert first and second
 
 
 class TestRefine:
