@@ -400,7 +400,9 @@ def _level_metrics(structure: str, n: int) -> tuple[_Metrics, ...]:
 
 def enumerate_graphs(filt: EnumerationFilter) -> Iterator[Graph]:
     """Stream exactly one representative per isomorphism class matching the
-    filter, in deterministic (order, canonical certificate) order."""
+    filter, in deterministic (order, canonical certificate) order.  An
+    order past the structure's cap raises before anything is yielded."""
+    _check_cap(filt.structure, filt.max_n)
     for n in range(filt.min_n, filt.max_n + 1):
         reps = representatives(filt.structure, n)
         if not filt._reads_metrics:

@@ -7,7 +7,10 @@ maximum i-packing sizes), distance-ball conflict masks, and
 interchangeable-high-color symmetry breaking.  A connected solve reads one
 distance table; the ball masks and caps of color i are built only once k
 reaches i, so colors above the answer never pay for a maximum independent
-set, and a k whose caps sum below |V| is refused unsearched.
+set, and a k whose caps sum below |V| is refused unsearched.  Inside the
+search a node is refused when its colors can no longer hold the uncolored
+vertices: a necessary condition for any completion, so the search still
+visits the surviving nodes in the same order and finds the same coloring.
 """
 
 from __future__ import annotations
@@ -151,25 +154,52 @@ def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Opti
     ``masks`` and ``caps`` come from ``_ClassCaps.capacity(k)``, which built
     every color below min(k + 1, d) for the diameter d, so ``len(masks)``
     is d whenever k >= d - 1.  Vertices are assigned in non-increasing
-    degree order.  Colors i < ``len(masks)`` check the distance-<=i ball
-    mask and the exact class-size cap; colors from there on force
-    singletons, and among the currently empty ones only the smallest is
-    ever tried (they are interchangeable).
+    degree order.  Colors i < ``len(masks)`` (low colors) check the
+    distance-<=i ball mask and the exact class-size cap; colors from there
+    on (high colors) force singletons, and among the currently empty ones
+    only the smallest is ever tried (they are interchangeable).
+
+    Each low color keeps ``blocked[i]``, its members and every vertex
+    within distance i of one, so the colors can bound what they still hold.
+    A node refuses before it branches when its colors cannot hold the
+    uncolored vertices U:
+
+    - room: the free high colors plus, over the low colors with room left,
+      min(cap_i - cnt_i, |U minus blocked[i]|) is below |U|; or
+    - dead vertices: more vertices of U than free high colors are blocked in
+      every low color with room left, so each needs a high color of its own.
+
+    Both are necessary for any completion, so a refused node has no
+    coloring below it; the surviving nodes are visited in the same order,
+    and the first coloring found is the one the unpruned search finds.
     """
     n = G.n
     d = len(masks)
+    low = tuple(range(1, min(k, d - 1) + 1))
     capf = [0] + [caps[i] if i < d else 1 for i in range(1, k + 1)]
     order = sorted(range(n), key=lambda v: (-G.degree(v), v))
 
     colors = [0] * n
-    class_bits = [0] * (k + 1)
     class_cnt = [0] * (k + 1)
+    blocked = [0] * (k + 1)
 
-    def dfs(pos: int) -> bool:
+    def dfs(pos: int, uncolored: int, free_high: int) -> bool:
         if pos == n:
             return True
+        room = free_high
+        reach = 0
+        for i in low:
+            spare = capf[i] - class_cnt[i]
+            if spare:
+                open_i = uncolored & ~blocked[i]
+                reach |= open_i
+                fits = open_i.bit_count()
+                room += spare if spare < fits else fits
+        if room < n - pos or (uncolored & ~reach).bit_count() > free_high:
+            return False
         v = order[pos]
         vb = 1 << v
+        rest = uncolored ^ vb
         seen_empty_high = False
         for i in range(1, k + 1):
             if class_cnt[i] >= capf[i]:
@@ -178,19 +208,23 @@ def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Opti
                 if seen_empty_high:
                     continue
                 seen_empty_high = True
-            elif class_bits[i] & masks[i][v]:
+                ball, high_left = vb, free_high - 1
+            elif blocked[i] & vb:
                 continue
+            else:
+                ball, high_left = masks[i][v] | vb, free_high
+            before = blocked[i]
             colors[v] = i
-            class_bits[i] |= vb
+            blocked[i] |= ball
             class_cnt[i] += 1
-            if dfs(pos + 1):
+            if dfs(pos + 1, rest, high_left):
                 return True
-            class_bits[i] ^= vb
+            blocked[i] = before
             class_cnt[i] -= 1
             colors[v] = 0
         return False
 
-    return list(colors) if dfs(0) else None
+    return list(colors) if dfs(0, (1 << n) - 1, max(0, k - d + 1)) else None
 
 
 def _within(G: Graph, classes: _ClassCaps, k: int) -> Optional[list[int]]:

@@ -162,7 +162,9 @@ def run_sweep(
     enumeration in class-based sweeps; the sweep's hypothesis class and
     extra predicate still filter them.  A size the sweep's defaults do not
     name raises ValueError rather than being ignored.  At most
-    ``min(jobs, os.cpu_count(), number of instances)`` worker processes run.
+    ``min(jobs, os.cpu_count(), number of instances)`` worker processes run;
+    each is spawned as a fresh interpreter rather than forked, so none
+    inherits the caller's threads, locks or caches.
     """
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem!r}; known: {sorted(THEOREMS)}")
@@ -180,7 +182,7 @@ def run_sweep(
     payloads = sweep.payloads(cfg)
     workers = min(jobs, os.cpu_count() or 1, len(payloads))
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
             records = pool.map(_eval_star, [(theorem, p) for p in payloads])
     else:
         records = [evaluate_payload(theorem, p) for p in payloads]

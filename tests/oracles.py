@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import factorial, inf
+from typing import Optional
 
 from packcrit.graphs import Graph
 
@@ -129,6 +130,59 @@ def brute_chi_rho(G: Graph) -> int:
         if brute_has_packing_coloring(G, k):
             return k
     raise AssertionError("n colors always suffice")
+
+
+# -- reference packing search ----------------------------------------------------
+
+
+def reference_search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Optional[list[int]]:
+    """The exact solver's depth-first search without its room refusals: the
+    same degree order, caps, ball masks and high-color symmetry breaking,
+    so it finds the same first coloring the pruned search must find.
+
+    ``masks`` and ``caps`` come from ``_ClassCaps.capacity(k)``, which built
+    every color below min(k + 1, d) for the diameter d, so ``len(masks)``
+    is d whenever k >= d - 1.  Vertices are assigned in non-increasing
+    degree order.  Colors i < ``len(masks)`` check the distance-<=i ball
+    mask and the exact class-size cap; colors from there on force
+    singletons, and among the currently empty ones only the smallest is
+    ever tried (they are interchangeable).
+    """
+    n = G.n
+    d = len(masks)
+    capf = [0] + [caps[i] if i < d else 1 for i in range(1, k + 1)]
+    order = sorted(range(n), key=lambda v: (-G.degree(v), v))
+
+    colors = [0] * n
+    class_bits = [0] * (k + 1)
+    class_cnt = [0] * (k + 1)
+
+    def dfs(pos: int) -> bool:
+        if pos == n:
+            return True
+        v = order[pos]
+        vb = 1 << v
+        seen_empty_high = False
+        for i in range(1, k + 1):
+            if class_cnt[i] >= capf[i]:
+                continue
+            if i >= d:
+                if seen_empty_high:
+                    continue
+                seen_empty_high = True
+            elif class_bits[i] & masks[i][v]:
+                continue
+            colors[v] = i
+            class_bits[i] |= vb
+            class_cnt[i] += 1
+            if dfs(pos + 1):
+                return True
+            class_bits[i] ^= vb
+            class_cnt[i] -= 1
+            colors[v] = 0
+        return False
+
+    return list(colors) if dfs(0) else None
 
 
 # -- unlabeled graph counts (Burnside + Euler transform) -------------------------

@@ -235,6 +235,12 @@ class TestEnvCap:
             assert (code, out) == (2, "")
             assert err.splitlines() == ["error: PACKCRIT_MAX_N must be an integer, got 'abc'"]
 
+    def test_cap_refused_before_any_output(self, capsys, monkeypatch):
+        monkeypatch.setenv("PACKCRIT_MAX_N", "5")
+        code, out, err = run(capsys, "enumerate", "--tree", "--max-n", "6")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: order 6 exceeds the tree cap 5"]
+
     def test_value_sets_default_sizes(self, capsys, monkeypatch):
         monkeypatch.setenv("PACKCRIT_MAX_N", "4")
         code, out, _ = run(capsys, "enumerate", "--connected")

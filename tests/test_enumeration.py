@@ -160,6 +160,12 @@ class TestCaps:
         with pytest.raises(CapExceededError):
             list(enumerate_graphs(EnumerationFilter(max_n=5)))
 
+    def test_cap_checked_before_any_level_is_built(self, monkeypatch):
+        monkeypatch.delenv("PACKCRIT_MAX_N", raising=False)
+        monkeypatch.setattr(enumeration, "representatives", lambda *args: pytest.fail("built a level past the cap"))
+        with pytest.raises(CapExceededError, match="order 9 exceeds the all cap 8"):
+            next(enumerate_graphs(EnumerationFilter(max_n=9)))
+
 
 class TestCert:
     def test_iso_iff_equal_certs(self):

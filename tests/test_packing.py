@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import sys
 from math import ceil
 
 import pytest
 from hypothesis import given, settings
 
-from packcrit import packing
+from packcrit import packing, verify
+from packcrit.enumeration import representatives
 from packcrit.errors import DisconnectedGraphError, PreconditionError
-from packcrit.graphs import Graph, delete_edge, delete_vertex, diameter, is_connected
+from packcrit.families import build
+from packcrit.graphs import Graph, components, delete_edge, delete_vertex, diameter, induced_subgraph, is_connected
 from packcrit.independence import alpha
 from packcrit.packing import (
     PackingColoring,
@@ -18,7 +21,13 @@ from packcrit.packing import (
     packs_within,
     verify_packing_coloring,
 )
-from oracles import brute_chi_rho, brute_has_packing_coloring, brute_lower_bound, brute_max_i_packing
+from oracles import (
+    brute_chi_rho,
+    brute_has_packing_coloring,
+    brute_lower_bound,
+    brute_max_i_packing,
+    reference_search_k,
+)
 from strategies import graphs
 
 
@@ -237,6 +246,59 @@ class TestPacksWithin:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             packs_within(Graph(0), 3)
+
+
+def _same_search(G, k):
+    """The pruned search returns exactly the unpruned reference's answer."""
+    classes = packing._ClassCaps(G)
+    classes.capacity(k)
+    found = packing._search_k(G, classes.masks, classes.caps, k)
+    assert found == reference_search_k(G, classes.masks, classes.caps, k), (G, k)
+    return found
+
+
+class TestRoomRefusals:
+    def test_small_graphs_match_reference(self, connected_upto_7):
+        for g in connected_upto_7:
+            value = chi_rho(g).value
+            for k in range(1, value + 1):
+                assert (_same_search(g, k) is not None) == (k == value)
+
+    def test_cacti_match_reference(self):
+        for n in (8, 9):
+            for g in representatives("cactus", n):
+                for k in range(1, chi_rho(g).value + 1):
+                    _same_search(g, k)
+
+    def test_teo1_deletions_match_reference(self):
+        # The searches edge criticality makes: every component of every
+        # single-edge deletion, one color below the graph's value.
+        for spec in verify._teo1_instances():
+            g = build(spec).graph
+            k = chi_rho(g).value - 1
+            for e in g.edges():
+                sub = delete_edge(g, e)
+                for comp in components(sub):
+                    _same_search(induced_subgraph(sub, comp)[0], k)
+
+    def test_teo1_node_count_pinned(self):
+        # The unpruned search makes 718,650 nodes here, and a room bound
+        # without the min(spare, open) term still makes more than this.
+        nodes = 0
+        dfs_file = packing.__file__
+
+        def count(frame, event, arg):
+            nonlocal nodes
+            if event == "call" and frame.f_code.co_name == "dfs" and frame.f_code.co_filename == dfs_file:
+                nodes += 1
+
+        sys.setprofile(count)
+        try:
+            report = verify.run_sweep("teo1")
+        finally:
+            sys.setprofile(None)
+        assert report.ok and report.total == 13
+        assert nodes == 128_263
 
 
 class TestOneDistanceTable:

@@ -204,8 +204,24 @@ def test_workers_are_bounded(monkeypatch, jobs, cpus, pool):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", lambda context, processes: FakePool(processes))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     rep = run_sweep("lemma1", jobs=jobs)
     assert rep.total == 10 and rep.ok
     assert asked == pool
+
+
+def test_workers_are_spawned(monkeypatch):
+    # Workers start from a fresh interpreter, not a fork of the caller.
+    started = []
+    real_pool = multiprocessing.context.BaseContext.Pool
+
+    def recorded(context, *args, **kwargs):
+        started.append(context.get_start_method())
+        return real_pool(context, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", recorded)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rep = run_sweep("lemma1", jobs=2)
+    assert rep.total == 10 and rep.ok
+    assert started == ["spawn"]
