@@ -1,14 +1,24 @@
 """Exact maximum independent sets and independence-criticality checks.
 
-The solver branches on a maximum-degree vertex (include/exclude) over
-bitmask-encoded vertex sets, with memoization and a closed form for the
-degree<=1 residue.  It also splits a disconnected mask (branch and reduce;
-Fomin, Grandoni and Kratsch, JACM 56, 2009): a bit-parallel search grows
-the component of the branching vertex, the branches stay inside that
+The solver is a memoised branch and reduce over bitmask-encoded vertex
+sets (Fomin, Grandoni and Kratsch, JACM 56, 2009; Akiba and Iwata, TCS
+609, 2016).  Two reductions come first, in a loop inside one call, so a
+chain of them adds no recursion depth:
+
+- degree <= 1: a residue of isolated vertices and disjoint edges is
+  counted in closed form;
+- simplicial vertex: when the neighbourhood of a minimum-degree vertex is
+  a clique, some maximum independent set holds that vertex, so it is taken
+  and its closed neighbourhood dropped.
+
+Only then does it branch on a maximum-degree vertex (include/exclude),
+and it splits a disconnected mask: a bit-parallel search grows the
+component of the branching vertex, the branches stay inside that
 component, and the memoised answer on the rest of the mask is added.  The
 search is skipped when the branching vertex sees every other vertex of the
-mask, which is then connected.  Witnesses are the lexicographically
-smallest maximum independent sets, so every result is reproducible.
+mask, which is then connected.  A distance power of a path reduces
+without a single branch.  Witnesses are the lexicographically smallest
+maximum independent sets, so every result is reproducible.
 """
 
 from __future__ import annotations
@@ -45,28 +55,46 @@ def _component(bits: Sequence[int], mask: int, v: int) -> int:
 
 
 def _mis_size(bits: Sequence[int], mask: int, memo: dict[int, int]) -> int:
-    if mask == 0:
-        return 0
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    # Pick a maximum-degree vertex within the mask; if everything has
-    # degree <= 1 the residue is a disjoint union of edges and isolates.
-    best_v, best_deg = -1, -1
-    m = mask
-    edge_halves = 0
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        m ^= b
-        d = (bits[v] & mask).bit_count()
-        edge_halves += d
-        if d > best_deg:
-            best_deg = d
-            best_v = v
-    if best_deg <= 1:
-        result = mask.bit_count() - edge_halves // 2
-    else:
+    # Reductions take a vertex outright and loop in this frame, so a chain
+    # of them adds no recursion depth: ``taken`` counts the vertices taken
+    # on the way from ``top`` down to the mask that is finally solved.
+    top, taken = mask, 0
+    while mask and mask not in memo:
+        # Scan the degrees within the mask: a maximum-degree vertex to branch
+        # on, a minimum-degree vertex to reduce, and the edge count.
+        best_v, best_deg = -1, -1
+        low_v, low_deg = -1, mask.bit_count()
+        m = mask
+        edge_halves = 0
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            m ^= b
+            d = (bits[v] & mask).bit_count()
+            edge_halves += d
+            if d > best_deg:
+                best_deg = d
+                best_v = v
+            if d < low_deg:
+                low_deg = d
+                low_v = v
+        if best_deg <= 1:
+            # A disjoint union of edges and isolated vertices.
+            memo[mask] = mask.bit_count() - edge_halves // 2
+            break
+        # Simplicial: when N(low_v) is a clique, some maximum independent
+        # set holds low_v, so take it and drop its closed neighbourhood.
+        nbrs = bits[low_v] & mask
+        m = nbrs
+        while m:
+            b = m & -m
+            m ^= b
+            if nbrs & ~bits[b.bit_length() - 1] != b:
+                break
+        else:
+            taken += 1
+            mask &= ~(nbrs | (1 << low_v))
+            continue
         # Branch inside best_v's component and add the rest of the mask; a
         # vertex that sees the whole mask leaves nothing outside it.
         comp = _component(bits, mask, best_v) if best_deg + 1 < mask.bit_count() else mask
@@ -76,7 +104,11 @@ def _mis_size(bits: Sequence[int], mask: int, memo: dict[int, int]) -> int:
         result = excl if excl >= incl else incl
         if comp != mask:
             result += _mis_size(bits, mask ^ comp, memo)
-    memo[mask] = result
+        memo[mask] = result
+        break
+    result = taken + memo.get(mask, 0)
+    if taken:
+        memo[top] = result
     return result
 
 

@@ -4,8 +4,11 @@ A k-packing coloring partitions the vertices into classes X_1..X_k where
 class X_i only holds vertices pairwise further apart than i.  The exact
 solver deepens k and searches with per-class capacity limits (the exact
 maximum i-packing sizes), distance-ball conflict masks, and
-interchangeable-high-color symmetry breaking.  A connected solve reads one
-distance table; the ball masks and caps of color i are built only once k
+interchangeable-high-color symmetry breaking.  A connected solve reads no
+distance table: the distance-<=i balls are bitmasks grown one distance at a
+time (the balls of radius i join the neighbours' balls of radius i - 1),
+and the first radius at which every ball is the whole graph is the
+diameter.  The ball masks and caps of color i are built only once k
 reaches i, so colors above the answer never pay for a maximum independent
 set, and a k whose caps sum below |V| is refused unsearched.  Inside the
 search a node is refused when its colors can no longer hold the uncolored
@@ -21,7 +24,6 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import DisconnectedGraphError, PreconditionError
 from .graphs import (
-    DistanceMatrix,
     Graph,
     all_pairs_distances,
     components,
@@ -89,9 +91,20 @@ def verify_packing_coloring(G: Graph, coloring: PackingColoring) -> PackingCheck
     return PackingCheck(True, None)
 
 
-def _ball_masks(dm: DistanceMatrix, i: int) -> list[int]:
-    """Per-vertex bitmask of the other vertices within distance ``i``."""
-    return [sum(1 << u for u, duv in enumerate(row) if u != v and duv <= i) for v, row in enumerate(dm.rows)]
+def _grow(nbrs: tuple[tuple[int, ...], ...], balls: list[int]) -> list[int]:
+    """The closed balls one step wider: each vertex's ball joined with its
+    neighbours' balls."""
+    grown = []
+    for b, vn in zip(balls, nbrs):
+        for w in vn:
+            b |= balls[w]
+        grown.append(b)
+    return grown
+
+
+def _open(balls: list[int]) -> list[int]:
+    """Per-vertex bitmask of the other vertices in its closed ball."""
+    return [b ^ (1 << v) for v, b in enumerate(balls)]
 
 
 def max_i_packing(G: Graph, i: int) -> int:
@@ -100,32 +113,52 @@ def max_i_packing(G: Graph, i: int) -> int:
         raise PreconditionError("i-packing size undefined on the empty graph")
     if i < 1:
         raise ValueError(f"packing index must be positive, got {i}")
-    return mis_size_bits(_ball_masks(all_pairs_distances(G), i), (1 << G.n) - 1)
+    nbrs = tuple(G.neighbors(v) for v in range(G.n))
+    balls = [1 << v for v in range(G.n)]
+    for _ in range(min(i, G.n - 1)):  # no ball grows past n - 1 steps
+        balls = _grow(nbrs, balls)
+    return mis_size_bits(_open(balls), (1 << G.n) - 1)
 
 
 class _ClassCaps:
-    """Ball masks and exact class caps of a connected graph's colors, read
-    from one distance table and built only as far as they are asked for.
+    """Ball masks and exact class caps of a connected graph's colors, grown
+    one distance at a time and only as far as they are asked for.
 
-    ``masks[i]`` holds the distance-<=i balls and ``caps[i]`` the exact
-    maximum i-packing size of color i, for each i built so far below the
-    diameter d; index 0 is an empty placeholder.
+    The closed balls of radius i are those of radius i - 1 joined with the
+    neighbours' ones; the first radius at which every ball holds the whole
+    graph is the diameter d.  ``masks[i]`` holds the distance-<=i balls
+    (without the centre) and ``caps[i]`` the exact maximum i-packing size of
+    color i, for each i built so far below d; index 0 is an empty
+    placeholder.
     """
 
     def __init__(self, G: Graph):
         self.full = (1 << G.n) - 1
-        self.dm = all_pairs_distances(G)
-        self.d = max(max(row) for row in self.dm.rows)
+        self._nbrs = tuple(G.neighbors(v) for v in range(G.n))
+        self._balls = [1 << v for v in range(G.n)]  # radius len(masks) - 1
+        self._d: Optional[int] = 0 if G.n == 1 else None
         self.masks: list[list[int]] = [[0] * G.n]
         self.caps = [0]
+
+    @property
+    def d(self) -> int:
+        """The diameter; finding it builds every color below it."""
+        while self._d is None:
+            self.capacity(len(self.masks))
+        return self._d
 
     def capacity(self, k: int) -> int:
         """Build the colors up to min(k, d - 1) and return how many vertices
         colors 1..k hold at most: their exact caps below the diameter, one
         each from it on."""
-        for i in range(len(self.masks), min(k, self.d - 1) + 1):
-            self.masks.append(_ball_masks(self.dm, i))
-            self.caps.append(mis_size_bits(self.masks[i], self.full))
+        while self._d is None and len(self.masks) <= k:
+            balls = _grow(self._nbrs, self._balls)
+            if all(b == self.full for b in balls):
+                self._d = len(self.masks)
+                break
+            self._balls = balls
+            self.masks.append(_open(balls))
+            self.caps.append(mis_size_bits(self.masks[-1], self.full))
         return sum(self.caps[: k + 1]) + max(0, k + 1 - len(self.caps))
 
 
@@ -172,6 +205,9 @@ def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Opti
     Both are necessary for any completion, so a refused node has no
     coloring below it; the surviving nodes are visited in the same order,
     and the first coloring found is the one the unpruned search finds.
+
+    The search recurses once per vertex; a component too large for the
+    interpreter's recursion limit raises PreconditionError.
     """
     n = G.n
     d = len(masks)
@@ -224,7 +260,11 @@ def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Opti
             colors[v] = 0
         return False
 
-    return list(colors) if dfs(0, (1 << n) - 1, max(0, k - d + 1)) else None
+    try:
+        found = dfs(0, (1 << n) - 1, max(0, k - d + 1))
+    except RecursionError:
+        raise PreconditionError(f"component of order {n} is too deep for the recursive packing search") from None
+    return list(colors) if found else None
 
 
 def _within(G: Graph, classes: _ClassCaps, k: int) -> Optional[list[int]]:

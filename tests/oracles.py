@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import factorial, inf
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from packcrit.graphs import Graph
+from packcrit.graphs import DistanceMatrix, Graph, all_pairs_distances
+from packcrit.independence import mis_size_bits
 
 
 # -- reference graph6 decoder (written first; the format oracle) --------------
@@ -183,6 +184,39 @@ def reference_search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int
         return False
 
     return list(colors) if dfs(0) else None
+
+
+# -- reference class caps ----------------------------------------------------------
+
+
+def reference_ball_masks(dm: DistanceMatrix, i: int) -> list[int]:
+    """Per-vertex bitmask of the other vertices within distance ``i``, read
+    off a distance table."""
+    return [sum(1 << u for u, duv in enumerate(row) if u != v and duv <= i) for v, row in enumerate(dm.rows)]
+
+
+class ReferenceCaps(NamedTuple):
+    capacity: int
+    masks: list[list[int]]
+    caps: list[int]
+    d: int
+
+
+def reference_class_caps(G: Graph, k: int) -> ReferenceCaps:
+    """What ``packing._ClassCaps(G).capacity(k)`` builds for connected G,
+    read from one distance table: the ball masks and exact caps of colors
+    1..min(k, d - 1) for the diameter d (index 0 an empty placeholder), and
+    how many vertices colors 1..k hold at most."""
+    full = (1 << G.n) - 1
+    dm = all_pairs_distances(G)
+    d = int(max(max(row) for row in dm.rows))
+    masks: list[list[int]] = [[0] * G.n]
+    caps = [0]
+    for i in range(1, min(k, d - 1) + 1):
+        masks.append(reference_ball_masks(dm, i))
+        caps.append(mis_size_bits(masks[i], full))
+    capacity = sum(caps[: k + 1]) + max(0, k + 1 - len(caps))
+    return ReferenceCaps(capacity, masks, caps, d)
 
 
 # -- unlabeled graph counts (Burnside + Euler transform) -------------------------

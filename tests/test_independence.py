@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from packcrit import graphs as graphs_module, independence
 from packcrit.enumeration import representatives
@@ -18,13 +18,16 @@ from packcrit.independence import (
     mis_avoiding,
     mis_size_bits,
 )
-from packcrit.packing import _ball_masks
-from oracles import brute_all_mis, brute_alpha
+from oracles import brute_all_mis, brute_alpha, reference_ball_masks
 from strategies import graphs
 
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete(n):
@@ -104,8 +107,50 @@ class TestComponentSplitting:
         # without splitting, P40's distance-1 memo holds 110,809 masks
         p40 = Graph(40, [(i, i + 1) for i in range(39)])
         memo = {}
-        assert independence._mis_size(_ball_masks(all_pairs_distances(p40), 1), (1 << 40) - 1, memo) == 20
+        assert independence._mis_size(reference_ball_masks(all_pairs_distances(p40), 1), (1 << 40) - 1, memo) == 20
         assert len(memo) < 40**2
+
+
+def distance_power(g, i):
+    """The graph joining every pair of g at distance at most i."""
+    masks = reference_ball_masks(all_pairs_distances(g), i)
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if masks[u] >> v & 1])
+
+
+class TestReductions:
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=9), st.integers(min_value=0))
+    def test_sub_masks_match_brute_alpha(self, g, seed):
+        mask = seed & ((1 << g.n) - 1)
+        keep = [v for v in range(g.n) if mask >> v & 1]
+        sub = Graph(len(keep), [(keep.index(u), keep.index(v)) for u, v in g.edges() if u in keep and v in keep])
+        assert mis_size_bits(g.adjacency_bits(), mask) == brute_alpha(sub)
+
+    def test_connected_order_7_match_brute_alpha(self, connected_upto_7):
+        # taking a minimum-degree vertex without the clique test gets every
+        # graph to order 6 right, but not all of these
+        for g in connected_upto_7:
+            assert mis_size_bits(g.adjacency_bits(), (1 << g.n) - 1) == brute_alpha(g), g
+
+    @pytest.mark.parametrize("shape", [path, cycle], ids=["P", "C"])
+    def test_distance_powers_match_brute_alpha(self, shape):
+        for n in range(3 if shape is cycle else 1, 13):
+            g = shape(n)
+            for i in range(1, n):
+                masks = reference_ball_masks(all_pairs_distances(g), i)
+                assert mis_size_bits(masks, (1 << n) - 1) == brute_alpha(distance_power(g, i)), (n, i)
+
+    def test_long_path_needs_no_deep_recursion(self):
+        # every branch level used to recurse, so P2500 raised RecursionError
+        assert alpha(path(2100)) == 1050
+
+    def test_path_power_reduces_without_branching(self):
+        # each end vertex of a path power is simplicial, so the whole solve
+        # is one chain of reductions and memoises only the top mask
+        memo = {}
+        masks = reference_ball_masks(all_pairs_distances(path(40)), 3)
+        assert independence._mis_size(masks, (1 << 40) - 1, memo) == 10
+        assert memo == {(1 << 40) - 1: 10}
 
 
 class TestAlphaCritical:

@@ -6,7 +6,7 @@ from math import ceil
 import pytest
 from hypothesis import given, settings
 
-from packcrit import packing, verify
+from packcrit import independence, packing, verify
 from packcrit.enumeration import representatives
 from packcrit.errors import DisconnectedGraphError, PreconditionError
 from packcrit.families import build
@@ -26,6 +26,7 @@ from oracles import (
     brute_has_packing_coloring,
     brute_lower_bound,
     brute_max_i_packing,
+    reference_class_caps,
     reference_search_k,
 )
 from strategies import graphs
@@ -213,6 +214,15 @@ class TestReach:
         assert res.value == 3
         assert verify_packing_coloring(g, res.witness).ok
 
+    def test_long_path_two_packing(self):
+        # the MIS core used to recurse once per branch and overflow here
+        assert max_i_packing(path(2100), 2) == 700
+
+    def test_deep_component_fails_typed(self):
+        # the packing search recurses once per vertex
+        with pytest.raises(PreconditionError, match="order 1500"):
+            chi_rho(path(1500))
+
     def test_caps_built_only_up_to_the_value(self, monkeypatch):
         calls = []
         original = packing.mis_size_bits
@@ -246,6 +256,41 @@ class TestPacksWithin:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             packs_within(Graph(0), 3)
+
+
+def _same_caps(G, top_k):
+    """One _ClassCaps asked for k = 1..top_k in turn, as the solver asks,
+    builds what the table-based reference builds for each k."""
+    classes = packing._ClassCaps(G)
+    for k in range(1, top_k + 1):
+        ref = reference_class_caps(G, k)
+        assert classes.capacity(k) == ref.capacity, (G, k)
+        assert (classes.masks, classes.caps) == (ref.masks, ref.caps), (G, k)
+    assert classes.d == ref.d, G
+
+
+class TestGrownCaps:
+    def test_small_graphs_match_reference(self, connected_upto_7):
+        for g in connected_upto_7:
+            _same_caps(g, chi_rho(g).value)
+
+    def test_cacti_match_reference(self):
+        for n in (8, 9):
+            for g in representatives("cactus", n):
+                _same_caps(g, chi_rho(g).value)
+
+    def test_teo1_deletions_match_reference(self):
+        for spec in verify._teo1_instances():
+            g = build(spec).graph
+            k = chi_rho(g).value - 1
+            for e in g.edges():
+                sub = delete_edge(g, e)
+                for comp in components(sub):
+                    _same_caps(induced_subgraph(sub, comp)[0], k)
+
+    def test_k1_has_diameter_zero(self):
+        classes = packing._ClassCaps(Graph(1))
+        assert classes.d == 0 and classes.capacity(3) == 3
 
 
 def _same_search(G, k):
@@ -301,9 +346,9 @@ class TestRoomRefusals:
         assert nodes == 128_263
 
 
-class TestOneDistanceTable:
+class TestNoDistanceTable:
     @pytest.mark.parametrize("g", [path(12), wheel6()], ids=["P12", "hub+C5"])
-    def test_one_table_per_solve(self, g, monkeypatch):
+    def test_no_table_per_solve(self, g, monkeypatch):
         calls = {"all_pairs_distances": 0, "max_i_packing": 0}
 
         def counted(name, fn):
@@ -315,7 +360,22 @@ class TestOneDistanceTable:
         for name in calls:
             monkeypatch.setattr(packing, name, counted(name, getattr(packing, name)))
         chi_rho(g)
-        assert calls == {"all_pairs_distances": 1, "max_i_packing": 0}
+        assert calls == {"all_pairs_distances": 0, "max_i_packing": 0}
+
+    def test_c80_four_packing_memo_pinned(self, monkeypatch):
+        # Branching on a maximum-degree vertex alone memoises 92,587 masks
+        # here; taking simplicial vertices cuts that to 105.
+        sizes = []
+
+        def counted(bits, mask):
+            memo = {}
+            result = independence._mis_size(bits, mask, memo)
+            sizes.append(len(memo))
+            return result
+
+        monkeypatch.setattr(packing, "mis_size_bits", counted)
+        assert max_i_packing(cycle(80), 4) == 16
+        assert sizes == [105]
 
 
 class TestMonotonicity:
