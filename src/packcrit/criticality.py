@@ -3,14 +3,24 @@
 Edge criticality is decided by single-edge deletions, which is equivalent
 to full subgraph criticality for graphs without isolated vertices; inputs
 with isolated vertices are rejected rather than silently extended.
+
+Two deletions in one orbit of Aut(G) leave isomorphic graphs, so the
+verdict is searched once per orbit: a deletion in the orbit of one that
+already lowered the value is skipped.  The group is the twin group (a
+product of symmetric groups, read off the neighborhoods in closed form)
+until a deletion's degree signature matches a lowered one's; only then does
+the certificate search of ``enumeration`` run, once, for generators of the
+whole group (B. D. McKay and A. Piperno, "Practical graph isomorphism, II",
+J. Symbolic Comput. 60, 2014).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
+from . import enumeration
 from .errors import PreconditionError
 from .graphs import Edge, Graph, delete_edge, delete_vertex, radius
 from .packing import chi_rho, packs_within
@@ -40,25 +50,130 @@ class CriticalityReport:
         return tuple((deletion, chi_rho(sub).value) for deletion, sub in self.deletions(self.graph))
 
 
-def _edge_deletions(G: Graph) -> Iterator[tuple[Deletion, Graph]]:
-    return ((e, delete_edge(G, e)) for e in G.edges())
+class _Deletions(NamedTuple):
+    """One kind of single deletion.  Called on a graph, it yields each
+    deletion, in order, with the graph it leaves, as ``Deletions`` do."""
+
+    keys: Callable[[Graph], Iterable[Deletion]]
+    apply: Callable[[Graph, Deletion], Graph]
+    ends: Callable[[Deletion], tuple[int, ...]]  # the vertices it touches
+
+    def __call__(self, G: Graph) -> Iterator[tuple[Deletion, Graph]]:
+        return ((d, self.apply(G, d)) for d in self.keys(G))
 
 
-def _vertex_deletions(G: Graph) -> Iterator[tuple[Deletion, Graph]]:
-    return ((v, delete_vertex(G, v)[0]) for v in range(G.n))
+# The deletion functions are looked up when called, so a wrapper installed
+# on this module sees every deletion built.
+_EDGES = _Deletions(Graph.edges, lambda G, e: delete_edge(G, e), lambda e: e)
+_VERTICES = _Deletions(Graph.vertices, lambda G, v: delete_vertex(G, v)[0], lambda v: (v,))
 
 
-def _deletion_report(G: Graph, deletions: Deletions) -> CriticalityReport:
+class _LoweredOrbits:
+    """The deletions of G in the orbit, under Aut(G), of one that lowered
+    the value, as far as they are cheap to know.
+
+    Nothing is set up until two deletions have lowered the value, so a
+    graph whose witness comes early pays nothing.  Every automorphism keeps
+    a deletion's degree signature: each vertex's degree, with its neighbors'
+    sorted degrees.  A deletion whose degrees match no lowered deletion's
+    is not skipped, and still nothing is set up.  Otherwise the twin
+    classes give the twin group's orbits in closed form: it is a product of
+    symmetric groups, so a deletion's orbit is named by its vertices' class
+    multiset.  A deletion outside those orbits can still lie in an orbit of
+    the whole group only if its whole signature equals a lowered
+    deletion's; the first time one does, the certificate search runs once
+    and its generators close the lowered deletions' orbits.
+    """
+
+    def __init__(self, G: Graph, ends: Callable[[Deletion], tuple[int, ...]]):
+        self._G = G
+        self._ends = ends
+        self._lowered: list[tuple[int, ...]] = []  # what each lowering deletion touches
+        self._noted = 0  # how many of them the keys below hold
+        self._degree_keys: set[tuple[int, ...]] = set()
+        self._twin: list[int] = []
+        self._vertex_sigs: list[tuple[int, tuple[int, ...]]] = []
+        self._twin_keys: set[tuple[int, ...]] = set()
+        self._sigs: set[tuple] = set()
+        self._orbits: Optional[enumeration._MaskOrbits] = None
+
+    def _degrees(self, vs: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted([self._G.degree(v) for v in vs]))
+
+    def _twin_key(self, vs: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted([self._twin[v] for v in vs]))
+
+    def _sig(self, vs: tuple[int, ...]) -> tuple:
+        return tuple(sorted([self._vertex_sigs[v] for v in vs]))
+
+    def _note(self, ws: tuple[int, ...]) -> None:
+        """Key a lowered deletion by whatever is set up."""
+        if self._twin:
+            self._twin_keys.add(self._twin_key(ws))
+            self._sigs.add(self._sig(ws))
+            if self._orbits is not None:
+                self._orbits.add(_mask(ws))
+
+    def add(self, deletion: Deletion) -> None:
+        """Record a deletion that lowered the value."""
+        self._lowered.append(self._ends(deletion))
+
+    def __contains__(self, deletion: Deletion) -> bool:
+        if len(self._lowered) < 2:
+            return False
+        for ws in self._lowered[self._noted:]:
+            self._degree_keys.add(self._degrees(ws))
+            self._note(ws)
+        self._noted = len(self._lowered)
+        vs = self._ends(deletion)
+        if self._degrees(vs) not in self._degree_keys:
+            return False
+        if not self._twin:
+            G = self._G
+            self._twin = enumeration._twin_classes(G.adjacency_bits())
+            nbrs = [G.neighbors(v) for v in range(G.n)]
+            deg = [len(ns) for ns in nbrs]
+            self._vertex_sigs = [(deg[v], tuple(sorted([deg[w] for w in ns]))) for v, ns in enumerate(nbrs)]
+            for ws in self._lowered:
+                self._note(ws)
+        if self._twin_key(vs) in self._twin_keys:
+            return True
+        if self._orbits is None:
+            if self._sig(vs) not in self._sigs:
+                return False
+            self._orbits = enumeration._MaskOrbits(enumeration._search(self._G)[1])
+            for ws in self._lowered:
+                self._orbits.add(_mask(ws))
+        return _mask(vs) in self._orbits
+
+
+def _mask(vs: tuple[int, ...]) -> int:
+    return sum(1 << v for v in vs)
+
+
+def _deletion_report(G: Graph, deletions: _Deletions) -> CriticalityReport:
     """Solve ``G`` once; the witness is the first deletion whose graph has no
     packing coloring with one color fewer.
 
     Deletions never raise the value (distances only grow, so a packing
     coloring of ``G`` stays one), so a single bounded search per deletion
     decides whether it lowers the value, and the deletions after the
-    witness are never built.
+    witness are never built.  Deletions run in order, and one in the orbit
+    of a deletion that already lowered the value is skipped: its graph is
+    isomorphic to that one's, so it lowers the value too.  The witness is
+    therefore never skipped, and the report is the one that searching every
+    deletion gives.
     """
     base = chi_rho(G).value
-    witness = next((deletion for deletion, sub in deletions(G) if packs_within(sub, base - 1) is None), None)
+    lowered = _LoweredOrbits(G, deletions.ends)
+    witness = None
+    for deletion in deletions.keys(G):
+        if deletion in lowered:
+            continue
+        if packs_within(deletions.apply(G, deletion), base - 1) is None:
+            witness = deletion
+            break
+        lowered.add(deletion)
     return CriticalityReport(base, witness is None, witness, G, deletions)
 
 
@@ -68,14 +183,14 @@ def is_edge_critical(G: Graph) -> CriticalityReport:
         raise PreconditionError("criticality undefined on the empty graph")
     if any(G.degree(v) == 0 for v in range(G.n)):
         raise PreconditionError("edge-criticality test requires no isolated vertices")
-    return _deletion_report(G, _edge_deletions)
+    return _deletion_report(G, _EDGES)
 
 
 def is_vertex_critical(G: Graph) -> CriticalityReport:
     """Does every single-vertex deletion lower the packing chromatic number?"""
     if G.n < 2:
         raise PreconditionError("vertex-criticality test requires at least two vertices")
-    return _deletion_report(G, _vertex_deletions)
+    return _deletion_report(G, _VERTICES)
 
 
 def has_leaf_violation(G: Graph) -> Optional[int]:

@@ -24,17 +24,20 @@ subsets are closed under the group, two subsets in one orbit grow
 isomorphic candidates, and only the first subset of each orbit, in the
 row's order, is tried.  The first candidate of a class is always the first
 of its orbit, so the kept representatives, and with them the stream, are
-those of trying every subset.  The group's generators come from a second
-run of the certificate search on the parent; they are not stored.  ``iso``
-stays out of this path: it is the independent oracle the tests check the
-certificates against.
+those of trying every subset.  A candidate is grown as adjacency bitmasks
+(the parent's plus the new vertex) and certified from those; a ``Graph`` is
+built only for the candidate a class keeps.  The certificate search that
+admits a candidate also returns its automorphism group's generators, and
+the level stores them beside the representative, so the next order extends
+it without searching again.  ``iso`` stays out of this path: it is the
+independent oracle the tests check the certificates against.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError
 from .graphs import (
@@ -177,28 +180,57 @@ def _refine(nbrs: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
         colors = new
 
 
+def _twin_classes(adj: tuple[int, ...]) -> list[int]:
+    """Each vertex's twin class, named by its first member, from the
+    adjacency bitmasks: twins have equal open or equal closed neighborhoods.
+
+    An open neighborhood never equals a closed one: the closed one of v
+    holds v, so it could only be the open one of a neighbor u of v, which
+    lacks u.  And no vertex has both an open twin and a closed twin: a
+    closed twin w of v is a neighbor of v, so it is adjacent to an open
+    twin u of v as well, which puts u in N[w] = N[v], though open twins are
+    never adjacent.  So both kinds of key share one dict, and the classes
+    partition the vertices; transposing two members of a class is an
+    automorphism."""
+    first: dict[int, int] = {}
+    classes = []
+    for v, a in enumerate(adj):
+        c = first.get(a, first.get(a | (1 << v)))
+        if c is None:
+            c = first[a] = first[a | (1 << v)] = v
+        classes.append(c)
+    return classes
+
+
 def _search(G: Graph) -> tuple[int, list[list[int]]]:
     """The individualization-refinement search behind ``canonical_cert``:
     the minimum adjacency code over the discrete leaves, and permutations
-    (``perm[v]`` is the image of ``v``) that generate Aut(G).
+    (``perm[v]`` is the image of ``v``) that generate Aut(G).  See
+    ``_search_bits``."""
+    return _search_bits(G.adjacency_bits())
+
+
+def _search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+    """``_search`` on the graph whose vertex v has neighbor bitmask
+    ``adj[v]``.
 
     Refine the all-equal coloring to a stable partition, split the first
     non-singleton cell on every member, and read each discrete leaf's
     adjacency code.  Two kinds of generator come out of the search.  A leaf
     whose code equals the best leaf's gives the automorphism between the
-    two labelings.  A twin (a vertex with the open or closed neighborhood
-    of a member already split on) is not split on, because the transposition
+    two labelings.  A twin (a vertex in the ``_twin_classes`` class of a
+    member already split on) is not split on, because the transposition
     of the two twins is an automorphism that fixes the current node; that
     transposition is returned.  Any automorphism maps the best leaf to a leaf
     of the unskipped tree, twin transpositions move that leaf into the
     searched tree, where its code equals the best and was recorded, so the
     returned permutations generate the whole group.
     """
-    n = G.n
+    n = len(adj)
     if n <= 1:
         return 0, []
-    nbrs = tuple(G.neighbors(v) for v in range(n))
-    adj = G.adjacency_bits()
+    nbrs = tuple(tuple(w for w in range(n) if a >> w & 1) for a in adj)
+    twin_class = _twin_classes(adj)
     best: Optional[int] = None
     best_inv: list[int] = []
     gens: list[list[int]] = []
@@ -230,19 +262,15 @@ def _search(G: Graph) -> tuple[int, list[list[int]]]:
             counts[c] = counts.get(c, 0) + 1
         cell_color = min(c for c, k in counts.items() if k >= 2)
         cell = [v for v in range(n) if colors[v] == cell_color]
-        # Twins have equal open or equal closed neighborhoods.  An open one
-        # never equals a closed one: the closed one of v holds v, so it could
-        # only be the open one of a neighbor u of v, which lacks u.  So both
-        # kinds of key share one dict.
-        split_on: dict[int, int] = {}
+        split_on: dict[int, int] = {}  # twin class -> its member split on
         for v in cell:
-            twin = split_on.get(adj[v], split_on.get(adj[v] | (1 << v)))
+            twin = split_on.get(twin_class[v])
             if twin is not None:
                 swap = list(range(n))
                 swap[v], swap[twin] = twin, v
                 gens.append(swap)
                 continue
-            split_on[adj[v]] = split_on[adj[v] | (1 << v)] = v
+            split_on[twin_class[v]] = v
             # v alone keeps the cell's color; the rest of the cell and every
             # later cell move up one, so the coloring stays dense
             search(_refine(nbrs, [c + (c > cell_color or (c == cell_color and u != v))
@@ -296,44 +324,63 @@ def _single_vertices_and_blocks(parent: Graph) -> Iterator[int]:
     )
 
 
-def _orbit_firsts(masks: Iterable[int], gens: list[list[int]]) -> Iterator[int]:
-    """The first mask, in the order ``masks`` yields them, of each orbit of
-    the group generated by ``gens`` acting on vertex sets.  ``masks`` must
-    be closed under that group."""
-    if not gens:
-        yield from masks
-        return
-    images = [[1 << w for w in perm] for perm in gens]
-    seen: set[int] = set()
-    for mask in masks:
-        if mask in seen:
-            continue
-        yield mask
-        seen.add(mask)
+class _MaskOrbits:
+    """A union of orbits of the group generated by ``gens`` (``perm[v]`` is
+    the image of ``v``) acting on vertex sets, which are bitmasks."""
+
+    def __init__(self, gens: Sequence[Sequence[int]]):
+        self._images = [[1 << w for w in perm] for perm in gens]
+        self._seen: set[int] = set()
+
+    def __contains__(self, mask: int) -> bool:
+        return mask in self._seen
+
+    def add(self, mask: int) -> None:
+        """Add the orbit of ``mask``: its images under the generators, until
+        no new one appears."""
+        if mask in self._seen:
+            return
+        self._seen.add(mask)
         stack = [mask]
         while stack:
             m = stack.pop()
-            for image in images:
+            for image in self._images:
                 x = m
                 y = 0
                 while x:
                     b = x & -x
                     y |= image[b.bit_length() - 1]
                     x ^= b
-                if y not in seen:
-                    seen.add(y)
+                if y not in self._seen:
+                    self._seen.add(y)
                     stack.append(y)
 
 
-def _grow(parent: Graph, mask: int) -> Graph:
-    n = parent.n
-    edges = parent.edges()
-    m = mask
-    while m:
-        b = m & -m
-        edges.append((b.bit_length() - 1, n))
-        m ^= b
-    return Graph(n + 1, edges)
+def _orbit_firsts(masks: Iterable[int], gens: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The first mask, in the order ``masks`` yields them, of each orbit of
+    the group generated by ``gens`` acting on vertex sets.  ``masks`` must
+    be closed under that group."""
+    if not gens:
+        yield from masks
+        return
+    orbits = _MaskOrbits(gens)
+    for mask in masks:
+        if mask not in orbits:
+            yield mask
+            orbits.add(mask)
+
+
+def _grow(parent: Graph, mask: int) -> tuple[int, ...]:
+    """The adjacency bitmasks of ``parent`` plus a new vertex whose
+    neighbors are the vertices in ``mask``."""
+    new = 1 << parent.n
+    return tuple(a | new if mask >> v & 1 else a for v, a in enumerate(parent.adjacency_bits())) + (mask,)
+
+
+def _graph(adj: tuple[int, ...]) -> Graph:
+    """The graph whose vertex v has neighbor bitmask ``adj[v]``."""
+    n = len(adj)
+    return Graph(n, [(u, w) for u, a in enumerate(adj) for w in range(u + 1, n) if a >> w & 1])
 
 
 @dataclass(frozen=True)
@@ -357,7 +404,13 @@ _TABLE = {
 
 STRUCTURES = tuple(_TABLE)
 
-_REPS_CACHE: dict[tuple[str, int], tuple[Graph, ...]] = {}
+# Each cached level holds its representatives and, beside each, the
+# distinct generators of its automorphism group that its certificate search
+# found, as tuples: smaller than lists, and the garbage collector stops
+# tracking a tuple of ints.
+_Gens = tuple[tuple[int, ...], ...]
+_Level = tuple[tuple[Graph, ...], tuple[_Gens, ...]]
+_REPS_CACHE: dict[tuple[str, int], _Level] = {}
 # ``_level_metrics`` of the cached levels that a connectivity, radius or
 # diameter filter has read.
 _METRICS_CACHE: dict[tuple[str, int], tuple[_Metrics, ...]] = {}
@@ -369,23 +422,36 @@ def representatives(structure: str, n: int) -> tuple[Graph, ...]:
     if structure not in STRUCTURES:
         raise ValueError(f"unknown structure {structure!r}")
     _check_cap(structure, n)
+    return _level(structure, n)[0]
+
+
+def _level(structure: str, n: int) -> _Level:
+    """``representatives(structure, n)`` and their automorphism generators,
+    cached per process."""
     key = (structure, n)
-    cached = _REPS_CACHE.get(key)
-    if cached is not None:
-        return cached
+    level = _REPS_CACHE.get(key)
+    if level is not None:
+        return level
 
     if n == 1:
-        reps = (Graph(1),)
+        level = ((Graph(1),), ((),))
     else:
         row = _TABLE[structure]
-        kept: dict[tuple[int, int], Graph] = {}
-        for parent in representatives(structure, n - 1):
-            for mask in _orbit_firsts(row.extensions(parent), _search(parent)[1]):
-                cand = _grow(parent, mask)
-                kept.setdefault(canonical_cert(cand), cand)
-        reps = tuple(kept[cert] for cert in sorted(kept))
-    _REPS_CACHE[key] = reps
-    return reps
+        # certificate -> bits and generators of the class's first candidate
+        kept: dict[int, tuple[tuple[int, ...], list[list[int]]]] = {}
+        for parent, gens in zip(*_level(structure, n - 1)):
+            for mask in _orbit_firsts(row.extensions(parent), gens):
+                adj = _grow(parent, mask)
+                cert, cand_gens = _search_bits(adj)
+                if cert not in kept:
+                    kept[cert] = (adj, cand_gens)
+        certs = sorted(kept)
+        level = (
+            tuple(_graph(kept[c][0]) for c in certs),
+            tuple(tuple(dict.fromkeys(map(tuple, kept[c][1]))) for c in certs),
+        )
+    _REPS_CACHE[key] = level
+    return level
 
 
 def _level_metrics(structure: str, n: int) -> tuple[_Metrics, ...]:

@@ -93,18 +93,13 @@ def emit_graph6(G: Graph) -> str:
     n = G.n
     if n > 62:
         raise GraphInputError(f"graph6 emission limited to 62 vertices, got {n}")
-    out = [n + 63]
-    acc = 0
-    filled = 0
-    for (i, j) in _pair_order(n):
-        acc = (acc << 1) | (1 if G.has_edge(i, j) else 0)
-        filled += 1
-        if filled == 6:
-            out.append(acc + 63)
-            acc, filled = 0, 0
-    if filled:
-        out.append((acc << (6 - filled)) + 63)
-    return bytes(out).decode("ascii")
+    # Column j holds the bits of vertices 0..j-1 in j's neighbor mask, lowest
+    # vertex first: that mask's low j bits, written in reverse.
+    body = "".join([format(a & ((1 << j) - 1), f"0{j}b")[::-1] for j, a in enumerate(G.adjacency_bits())][1:])
+    pad = -len(body) % 6
+    bits = int(body, 2) << pad if body else 0
+    groups = (len(body) + pad) // 6
+    return bytes([n + 63] + [(bits >> 6 * k & 63) + 63 for k in range(groups - 1, -1, -1)]).decode("ascii")
 
 
 def read_graph6_lines(text: str) -> list[Graph]:

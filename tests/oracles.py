@@ -11,11 +11,12 @@ from itertools import combinations, permutations
 from math import factorial, inf
 from typing import NamedTuple, Optional
 
-from packcrit.graphs import DistanceMatrix, Graph, all_pairs_distances
+from packcrit.graphs import DistanceMatrix, Graph, all_pairs_distances, delete_edge, delete_vertex
 from packcrit.independence import mis_size_bits
+from packcrit.packing import chi_rho, packs_within
 
 
-# -- reference graph6 decoder (written first; the format oracle) --------------
+# -- reference graph6 codec (the decoder was written first; the format oracle) --
 
 
 def reference_parse_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
@@ -34,6 +35,26 @@ def reference_parse_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
     edges = [pairs[idx] for idx, bit in enumerate(stream[: len(pairs)]) if bit == "1"]
     assert all(bit == "0" for bit in stream[len(pairs):])
     return n, edges
+
+
+def reference_emit_graph6(G: Graph) -> str:
+    """The graph6 encoder that asks ``has_edge`` once per vertex pair, in
+    the format's pair order, packing six bits per byte."""
+    n = G.n
+    assert n <= 62, "reference encoder handles the short form only"
+    out = [n + 63]
+    acc = 0
+    filled = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | (1 if G.has_edge(i, j) else 0)
+            filled += 1
+            if filled == 6:
+                out.append(acc + 63)
+                acc, filled = 0, 0
+    if filled:
+        out.append((acc << (6 - filled)) + 63)
+    return bytes(out).decode("ascii")
 
 
 # -- brute-force independence --------------------------------------------------
@@ -184,6 +205,22 @@ def reference_search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int
         return False
 
     return list(colors) if dfs(0) else None
+
+
+# -- reference criticality ----------------------------------------------------------
+
+
+def reference_deletion_report(G: Graph, kind: str) -> tuple[int, bool, Optional[object]]:
+    """(base value, critical, witness) by one bounded search per deletion in
+    order, ``kind`` "edge" or "vertex", with no deletion skipped: the
+    witness is the first deletion that still needs every color."""
+    if kind == "edge":
+        deletions = ((e, delete_edge(G, e)) for e in G.edges())
+    else:
+        deletions = ((v, delete_vertex(G, v)[0]) for v in range(G.n))
+    base = chi_rho(G).value
+    witness = next((deletion for deletion, sub in deletions if packs_within(sub, base - 1) is None), None)
+    return base, witness is None, witness
 
 
 # -- reference class caps ----------------------------------------------------------

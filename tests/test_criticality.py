@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from packcrit import criticality
+from packcrit import criticality, enumeration, verify
 from packcrit.criticality import has_leaf_violation, is_edge_critical, is_vertex_critical
 from packcrit.enumeration import representatives
 from packcrit.errors import PreconditionError
+from packcrit.families import build, parse_spec
 from packcrit.graphs import Graph, delete_edge, delete_vertex, is_tree
 from packcrit.packing import PackingColoring, chi_rho, packs_within, verify_packing_coloring
+from oracles import reference_deletion_report
 
 
 def cycle(n):
@@ -172,3 +174,51 @@ class TestDecisionPath:
         monkeypatch.setattr(criticality, "chi_rho", counted_chi_rho)
         assert [v for _, v in rep.table] == [5] * 5 + [4] * 5
         assert rep.table is rep.table and len(solved) == 10
+
+
+def _same_as_reference(g):
+    """Both reports equal the all-deletions reference, orbit skips and all."""
+    if all(g.degree(v) for v in range(g.n)):
+        rep = is_edge_critical(g)
+        assert (rep.base_chi_rho, rep.critical, rep.witness) == reference_deletion_report(g, "edge"), g
+    if g.n >= 2:
+        rep = is_vertex_critical(g)
+        assert (rep.base_chi_rho, rep.critical, rep.witness) == reference_deletion_report(g, "vertex"), g
+
+
+# A triangle 0-2-3 with a pendant vertex 1 on 3.
+PAW = Graph(4, [(0, 2), (0, 3), (1, 3), (2, 3)])
+
+# The family sweeps whose instances carry the paper's symmetric cacti.
+FAMILY_SWEEPS = ("pro4", "pro8", "pro9", "pro12", "pro13", "pro16", "teo1", "lemma7")
+
+
+class TestOrbitSkips:
+    def test_small_graphs_match_reference(self, connected_upto_7):
+        for g in connected_upto_7:
+            _same_as_reference(g)
+
+    def test_cacti_match_reference(self):
+        for n in (8, 9):
+            for g in representatives("cactus", n):
+                _same_as_reference(g)
+
+    @pytest.mark.parametrize("theorem", FAMILY_SWEEPS)
+    def test_family_sweep_instances_match_reference(self, theorem):
+        sweep = verify.THEOREMS[theorem]
+        for payload in sweep.payloads(dict(sweep.defaults, corpus=None)):
+            _same_as_reference(build(parse_spec(payload["spec"])).graph)
+
+    @pytest.mark.parametrize("g, kind, witness", [
+        (wheel6(), "edge", (0, 1)),
+        (PAW, "edge", (0, 3)),  # (0, 2) lowers the value
+        (PAW, "vertex", 1),     # 0 lowers the value
+    ], ids=["W6-edge-first", "paw-edge-second", "paw-vertex-second"])
+    def test_early_witness_runs_no_certificate_search(self, g, kind, witness, monkeypatch):
+        def refuse(G):
+            raise AssertionError("certificate search run for an early witness")
+
+        monkeypatch.setattr(enumeration, "_search", refuse)
+        rep = is_vertex_critical(g) if kind == "vertex" else is_edge_critical(g)
+        assert (rep.base_chi_rho, rep.critical, rep.witness) == reference_deletion_report(g, kind)
+        assert rep.witness == witness

@@ -11,6 +11,7 @@ from packcrit.enumeration import (
     _TABLE,
     STRUCTURES,
     EnumerationFilter,
+    _graph,
     _grow,
     _orbit_firsts,
     _refine,
@@ -201,7 +202,7 @@ class TestCactusExtensions:
         for n in range(1, 10):
             masks = [1 << v for v in range(n)] + [(1 << u) | (1 << v) for u, v in combinations(range(n), 2)]
             for parent in representatives("cactus", n):
-                expected = [m for m in masks if is_cactus(_grow(parent, m))]
+                expected = [m for m in masks if is_cactus(_graph(_grow(parent, m)))]
                 assert list(extensions(parent)) == expected, emit_graph6(parent)
 
 
@@ -212,7 +213,7 @@ class TestBlockGraphExtensions:
         extensions = _TABLE["block-graph"].extensions
         for n in range(1, 9):
             for parent in representatives("block-graph", n):
-                expected = [m for m in range(1 << n) if is_block_graph(_grow(parent, m))]
+                expected = [m for m in range(1 << n) if is_block_graph(_graph(_grow(parent, m)))]
                 singles = [m for m in expected if m.bit_count() == 1]
                 assert list(extensions(parent)) == singles + [m for m in expected if m not in singles], emit_graph6(parent)
 

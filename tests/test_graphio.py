@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from packcrit.enumeration import representatives
 from packcrit.errors import GraphInputError
 from packcrit.graphs import Graph
 from packcrit.graphio import (
@@ -14,7 +15,7 @@ from packcrit.graphio import (
     read_graph6_lines,
 )
 from packcrit.packing import PackingColoring
-from oracles import reference_parse_graph6
+from oracles import reference_emit_graph6, reference_parse_graph6
 from strategies import graphs
 
 # Frozen expectations were produced by the reference decoder first.
@@ -95,6 +96,15 @@ class TestGraph6Emit:
         rec = emit_graph6(g)
         n, edges = reference_parse_graph6(rec)
         assert n == g.n and sorted(edges) == g.edges()
+
+    def test_reference_encoder_agrees_upto_7(self, all_graphs_upto_6):
+        for g in all_graphs_upto_6 + list(representatives("all", 7)):
+            assert emit_graph6(g) == reference_emit_graph6(g), g
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(min_n=0, max_n=62))
+    def test_reference_encoder_agrees(self, g):
+        assert emit_graph6(g) == reference_emit_graph6(g)
 
 
 class TestGraph6Corpus:

@@ -6,7 +6,7 @@ from math import ceil
 import pytest
 from hypothesis import given, settings
 
-from packcrit import independence, packing, verify
+from packcrit import criticality, independence, packing, verify
 from packcrit.enumeration import representatives
 from packcrit.errors import DisconnectedGraphError, PreconditionError
 from packcrit.families import build
@@ -327,23 +327,57 @@ class TestRoomRefusals:
                     _same_search(induced_subgraph(sub, comp)[0], k)
 
     def test_teo1_node_count_pinned(self):
-        # The unpruned search makes 718,650 nodes here, and a room bound
-        # without the min(spare, open) term still makes more than this.
-        nodes = 0
-        dfs_file = packing.__file__
+        # Every deletion up to the witness, none skipped: the unpruned search
+        # makes 718,650 nodes here, and a room bound without the
+        # min(spare, open) term still makes more than this.
+        def deletions_to_witness():
+            for spec in verify._teo1_instances():
+                g = build(spec).graph
+                base = chi_rho(g).value
+                for e in g.edges():
+                    if packs_within(delete_edge(g, e), base - 1) is None:
+                        break
 
-        def count(frame, event, arg):
-            nonlocal nodes
-            if event == "call" and frame.f_code.co_name == "dfs" and frame.f_code.co_filename == dfs_file:
-                nodes += 1
+        assert _dfs_nodes(deletions_to_witness) == 128_263
 
-        sys.setprofile(count)
-        try:
+    def test_teo1_sweep_node_count_pinned(self, monkeypatch):
+        # The sweep skips a deletion in the orbit of one that lowered the
+        # value, so its 13 critical graphs search 64 of their 183 edge
+        # deletions (59 edge orbits; the first two deletions of a graph are
+        # always searched), and the nodes halve.
+        calls = []
+
+        def counted(G, k):
+            calls.append(k)
+            return packs_within(G, k)
+
+        monkeypatch.setattr(criticality, "packs_within", counted)
+        report = None
+
+        def sweep():
+            nonlocal report
             report = verify.run_sweep("teo1")
-        finally:
-            sys.setprofile(None)
+
+        assert (_dfs_nodes(sweep), len(calls)) == (64_105, 64)
         assert report.ok and report.total == 13
-        assert nodes == 128_263
+
+
+def _dfs_nodes(work) -> int:
+    """The packing-search nodes ``work()`` visits."""
+    nodes = 0
+    dfs_file = packing.__file__
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "dfs" and frame.f_code.co_filename == dfs_file:
+            nodes += 1
+
+    sys.setprofile(count)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return nodes
 
 
 class TestNoDistanceTable:
