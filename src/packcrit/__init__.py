@@ -9,12 +9,7 @@ from .classify import (
     classify_radius1,
 )
 from .criticality import CriticalityReport, has_leaf_violation, is_edge_critical, is_vertex_critical
-from .enumeration import (
-    EnumerationFilter,
-    cacti_by_block_attachment,
-    canonical_cert,
-    enumerate_graphs,
-)
+from .enumeration import EnumerationFilter, canonical_cert, enumerate_graphs
 from .errors import (
     CapExceededError,
     CharacterizationError,

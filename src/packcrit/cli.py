@@ -24,7 +24,7 @@ from .classify import (
 from .criticality import is_edge_critical, is_vertex_critical
 from .enumeration import STRUCTURES, EnumerationFilter, enumerate_graphs, env_cap
 from .errors import GraphInputError, SpecSyntaxError
-from .families import build, parse_spec
+from .families import SPEC_LETTERS, build, parse_spec
 from .graphio import emit_dot, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6, read_graph6_lines
 from .graphs import Graph, eccentricities, is_block_graph, is_cactus, is_connected
 from .packing import chi_rho
@@ -38,7 +38,7 @@ def _caret_message(exc: SpecSyntaxError) -> str:
 def load_graph(source: str) -> Graph:
     """Resolve a graph argument: family spec, then file, then graph6."""
     spec_err: Optional[SpecSyntaxError] = None
-    if source[:1] in "GHTCPKW":
+    if source[:1] in SPEC_LETTERS:
         try:
             return build(parse_spec(source)).graph
         except SpecSyntaxError as exc:

@@ -6,12 +6,13 @@ with isolated vertices are rejected rather than silently extended.
 
 Two deletions in one orbit of Aut(G) leave isomorphic graphs, so the
 verdict is searched once per orbit: a deletion in the orbit of one that
-already lowered the value is skipped.  The group is the twin group (a
-product of symmetric groups, read off the neighborhoods in closed form)
-until a deletion's degree signature matches a lowered one's; only then does
-the certificate search of ``enumeration`` run, once, for generators of the
-whole group (B. D. McKay and A. Piperno, "Practical graph isomorphism, II",
-J. Symbolic Comput. 60, 2014).
+already lowered the value is skipped.  Once two deletions have lowered
+the value, the group is the twin group (a product of symmetric groups, read
+off the neighborhoods in closed form) until a deletion outside its orbits
+has a lowered one's degree signature; only then does the certificate search
+of ``enumeration`` run, once, for generators of the whole group (B. D.
+McKay and A. Piperno, "Practical graph isomorphism, II", J. Symbolic
+Comput. 60, 2014).
 """
 
 from __future__ import annotations
@@ -73,32 +74,26 @@ class _LoweredOrbits:
     the value, as far as they are cheap to know.
 
     Nothing is set up until two deletions have lowered the value, so a
-    graph whose witness comes early pays nothing.  Every automorphism keeps
-    a deletion's degree signature: each vertex's degree, with its neighbors'
-    sorted degrees.  A deletion whose degrees match no lowered deletion's
-    is not skipped, and still nothing is set up.  Otherwise the twin
-    classes give the twin group's orbits in closed form: it is a product of
+    graph whose witness comes early pays nothing.  Then the twin classes
+    give the twin group's orbits in closed form: it is a product of
     symmetric groups, so a deletion's orbit is named by its vertices' class
     multiset.  A deletion outside those orbits can still lie in an orbit of
-    the whole group only if its whole signature equals a lowered
-    deletion's; the first time one does, the certificate search runs once
-    and its generators close the lowered deletions' orbits.
+    the whole group only if its degree signature (each vertex's degree,
+    with its neighbors' sorted degrees, which every automorphism keeps)
+    equals a lowered deletion's; the first time one does, the certificate
+    search runs once and its generators close the lowered deletions'
+    orbits.
     """
 
     def __init__(self, G: Graph, ends: Callable[[Deletion], tuple[int, ...]]):
         self._G = G
         self._ends = ends
         self._lowered: list[tuple[int, ...]] = []  # what each lowering deletion touches
-        self._noted = 0  # how many of them the keys below hold
-        self._degree_keys: set[tuple[int, ...]] = set()
         self._twin: list[int] = []
         self._vertex_sigs: list[tuple[int, tuple[int, ...]]] = []
         self._twin_keys: set[tuple[int, ...]] = set()
         self._sigs: set[tuple] = set()
         self._orbits: Optional[enumeration._MaskOrbits] = None
-
-    def _degrees(self, vs: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted([self._G.degree(v) for v in vs]))
 
     def _twin_key(self, vs: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted([self._twin[v] for v in vs]))
@@ -107,26 +102,22 @@ class _LoweredOrbits:
         return tuple(sorted([self._vertex_sigs[v] for v in vs]))
 
     def _note(self, ws: tuple[int, ...]) -> None:
-        """Key a lowered deletion by whatever is set up."""
-        if self._twin:
-            self._twin_keys.add(self._twin_key(ws))
-            self._sigs.add(self._sig(ws))
-            if self._orbits is not None:
-                self._orbits.add(_mask(ws))
+        """Key a lowered deletion by its twin key and signature, and close
+        its orbit once the certificate search has run."""
+        self._twin_keys.add(self._twin_key(ws))
+        self._sigs.add(self._sig(ws))
+        if self._orbits is not None:
+            self._orbits.add(_mask(ws))
 
     def add(self, deletion: Deletion) -> None:
         """Record a deletion that lowered the value."""
-        self._lowered.append(self._ends(deletion))
+        ws = self._ends(deletion)
+        self._lowered.append(ws)
+        if self._twin:
+            self._note(ws)
 
     def __contains__(self, deletion: Deletion) -> bool:
         if len(self._lowered) < 2:
-            return False
-        for ws in self._lowered[self._noted:]:
-            self._degree_keys.add(self._degrees(ws))
-            self._note(ws)
-        self._noted = len(self._lowered)
-        vs = self._ends(deletion)
-        if self._degrees(vs) not in self._degree_keys:
             return False
         if not self._twin:
             G = self._G
@@ -136,6 +127,7 @@ class _LoweredOrbits:
             self._vertex_sigs = [(deg[v], tuple(sorted([deg[w] for w in ns]))) for v, ns in enumerate(nbrs)]
             for ws in self._lowered:
                 self._note(ws)
+        vs = self._ends(deletion)
         if self._twin_key(vs) in self._twin_keys:
             return True
         if self._orbits is None:

@@ -221,10 +221,11 @@ def _search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
     two labelings.  A twin (a vertex in the ``_twin_classes`` class of a
     member already split on) is not split on, because the transposition
     of the two twins is an automorphism that fixes the current node; that
-    transposition is returned.  Any automorphism maps the best leaf to a leaf
-    of the unskipped tree, twin transpositions move that leaf into the
-    searched tree, where its code equals the best and was recorded, so the
-    returned permutations generate the whole group.
+    transposition is returned, once however many nodes skip it.  Any
+    automorphism maps the best leaf to a leaf of the unskipped tree, twin
+    transpositions move that leaf into the searched tree, where its code
+    equals the best and was recorded, so the returned permutations generate
+    the whole group.
     """
     n = len(adj)
     if n <= 1:
@@ -234,6 +235,7 @@ def _search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
     best: Optional[int] = None
     best_inv: list[int] = []
     gens: list[list[int]] = []
+    swapped: set[tuple[int, int]] = set()  # twin transpositions already in gens
 
     def leaf(colors: list[int]) -> None:
         nonlocal best, best_inv
@@ -266,9 +268,11 @@ def _search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
         for v in cell:
             twin = split_on.get(twin_class[v])
             if twin is not None:
-                swap = list(range(n))
-                swap[v], swap[twin] = twin, v
-                gens.append(swap)
+                if (twin, v) not in swapped:
+                    swapped.add((twin, v))
+                    swap = list(range(n))
+                    swap[v], swap[twin] = twin, v
+                    gens.append(swap)
                 continue
             split_on[twin_class[v]] = v
             # v alone keeps the cell's color; the rest of the cell and every
@@ -477,40 +481,3 @@ def enumerate_graphs(filt: EnumerationFilter) -> Iterator[Graph]:
         for G, metrics in zip(reps, _level_metrics(filt.structure, n)):
             if filt._accepts(*metrics):
                 yield G
-
-
-def cacti_by_block_attachment(max_n: int) -> list[Graph]:
-    """Second, independent cactus generator: grow block trees by attaching a
-    fresh K2 or cycle block at an existing vertex.  Used to cross-check the
-    augmentation lattice on overlapping ranges."""
-    _check_cap("cactus", max_n)
-    seen: dict[tuple[int, int], Graph] = {}
-    frontier: list[Graph] = [Graph(1)]
-    seen[canonical_cert(Graph(1))] = Graph(1)
-    while frontier:
-        nxt: list[Graph] = []
-        for G in frontier:
-            for anchor in range(G.n):
-                # pendant edge
-                sizes = [2]
-                # new cycle blocks C_len using len-1 fresh vertices
-                sizes.extend(range(3, max_n - G.n + 2))
-                for blk in sizes:
-                    fresh = blk - 1
-                    if G.n + fresh > max_n:
-                        continue
-                    edges = G.edges()
-                    ring = [anchor] + [G.n + i for i in range(fresh)]
-                    if blk == 2:
-                        edges.append((ring[0], ring[1]))
-                    else:
-                        edges.extend(
-                            (ring[i], ring[(i + 1) % blk]) for i in range(blk)
-                        )
-                    cand = Graph(G.n + fresh, edges)
-                    cert = canonical_cert(cand)
-                    if cert not in seen:
-                        seen[cert] = cand
-                        nxt.append(cand)
-        frontier = nxt
-    return [seen[cert] for cert in sorted(seen)]

@@ -12,16 +12,24 @@ Plus the classics: paths, cycles, complete graphs, stars K_{1,n}, wheels
 (hub joined to a cycle), and friendship graphs (n triangles sharing one
 vertex).  The text grammar, e.g. ``G2^4(1,2;2,1)``, ``H(0,2;2,0)``, ``T3``,
 ``K1,7``, is parsed and emitted exactly.
+
+Each classic kind is one row of ``_SIMPLE``: its spec prefix, least n,
+order, labeled edges and roles, and closed-form packing chromatic number,
+which validation, text, parsing, building and the closed form all read.
+Gqr and H share one builder: H's hub edge is a two-vertex main block that
+carries the pendants as Gqr's C_r does.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import combinations
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import DisconnectedGraphError, SpecSyntaxError
 from .graphs import (
+    Edge,
     Graph,
     block_decomposition,
     components,
@@ -30,9 +38,69 @@ from .graphs import (
     universal_vertices,
 )
 
-KINDS = ("path", "cycle", "complete", "star", "wheel", "friendship", "gqr", "h")
-
 Pair = tuple[int, int]
+
+
+class _Simple(NamedTuple):
+    """One simple kind: its spec prefix, the least ``n`` with the error text
+    for a smaller one, the order, the labeled edges and per-vertex roles,
+    and the closed-form packing chromatic number (None where no formula
+    covers ``n``), each a function of ``n``."""
+
+    prefix: str
+    least: int
+    error: str
+    order: Callable[[int], int]
+    edges: Callable[[int], list[Edge]]
+    roles: Callable[[int], list[str]]
+    chi_rho: Callable[[int], Optional[int]]
+
+
+def _ring(n: int, first: int = 0) -> list[Edge]:
+    """The edges of a cycle through first, ..., first + n - 1, in order."""
+    return [(first + i, first + (i + 1) % n) for i in range(n)]
+
+
+_SIMPLE = {
+    "path": _Simple(
+        "P", 1, "path needs n >= 1", lambda n: n,
+        lambda n: [(i, i + 1) for i in range(n - 1)],
+        lambda n: [f"v{i + 1}" for i in range(n)],
+        {1: 1, 2: 2, 3: 2, 4: 3, 5: 3}.get),
+    "cycle": _Simple(
+        "C", 3, "cycle needs n >= 3", lambda n: n, _ring,
+        lambda n: [f"x{i + 1}" for i in range(n)],
+        {3: 3, 4: 3, 5: 4}.get),
+    "complete": _Simple(
+        "K", 1, "complete graph needs n >= 1", lambda n: n,
+        lambda n: list(combinations(range(n), 2)),
+        lambda n: [f"v{i + 1}" for i in range(n)],
+        lambda n: n),
+    "star": _Simple(
+        "K1,", 1, "star K1,n needs n >= 1", lambda n: n + 1,
+        lambda n: [(0, i) for i in range(1, n + 1)],
+        lambda n: ["hub"] + [f"leaf{i}" for i in range(1, n + 1)],
+        lambda n: 2),
+    "wheel": _Simple(
+        "W", 4, "wheel needs n >= 4 (hub plus a cycle)", lambda n: n,
+        lambda n: _ring(n - 1, 1) + [(0, i) for i in range(1, n)],
+        lambda n: ["hub"] + [f"r{i}" for i in range(1, n)],
+        lambda n: None),
+    "friendship": _Simple(
+        "T", 1, "friendship graph needs n >= 1", lambda n: 2 * n + 1,
+        lambda n: [e for a in range(1, 2 * n, 2) for e in ((0, a), (0, a + 1), (a, a + 1))],
+        lambda n: ["hub"] + [f"{c}{t}" for t in range(1, n + 1) for c in "ab"],
+        lambda n: n + 2),
+}
+
+#: Decorated kind -> (role letter of its main block, role letters of a
+#: pendant triangle).  Gqr's main block is C_r; H's is the hub edge.
+_DECORATED = {"gqr": ("x", "uv"), "h": ("u", "ab")}
+
+KINDS = (*_SIMPLE, *_DECORATED)
+
+#: The letters a spec text can start with.
+SPEC_LETTERS = "GH" + "".join(dict.fromkeys(row.prefix[0] for row in _SIMPLE.values()))
 
 
 @dataclass(frozen=True)
@@ -40,7 +108,8 @@ class FamilySpec:
     """Symbolic description of one family member.
 
     ``n`` parametrizes the simple families; ``r`` and ``pairs`` parametrize
-    Gqr (q = len(pairs)); H uses exactly two pairs.
+    Gqr (q = len(pairs)); H uses exactly two pairs.  A field the kind does
+    not read keeps its default, so H's ``r`` is 0.
     """
 
     kind: str
@@ -51,31 +120,22 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "path" and self.n < 1:
-            raise ValueError("path needs n >= 1")
-        if self.kind == "cycle" and self.n < 3:
-            raise ValueError("cycle needs n >= 3")
-        if self.kind == "complete" and self.n < 1:
-            raise ValueError("complete graph needs n >= 1")
-        if self.kind == "star" and self.n < 1:
-            raise ValueError("star K1,n needs n >= 1")
-        if self.kind == "wheel" and self.n < 4:
-            raise ValueError("wheel needs n >= 4 (hub plus a cycle)")
-        if self.kind == "friendship" and self.n < 1:
-            raise ValueError("friendship graph needs n >= 1")
+        unread = ("r", "pairs") if self.kind in _SIMPLE else ("n",) if self.kind == "gqr" else ("n", "r")
+        extra = [name for name in unread if getattr(self, name)]
+        if extra:
+            raise ValueError(f"a {self.kind} spec takes no {' or '.join(extra)}")
+        if self.kind in _SIMPLE:
+            row = _SIMPLE[self.kind]
+            if self.n < row.least:
+                raise ValueError(row.error)
+            return
         if self.kind == "gqr":
-            q = len(self.pairs)
             if self.r not in (3, 4, 5):
                 raise ValueError(f"Gqr main cycle length must be 3, 4 or 5, got {self.r}")
-            if not 1 <= q <= self.r:
-                raise ValueError(f"Gqr needs 1 <= q <= r, got q={q}, r={self.r}")
-            self._check_pairs()
-        if self.kind == "h":
-            if len(self.pairs) != 2:
-                raise ValueError("H takes exactly two (k, m) pairs")
-            self._check_pairs()
-
-    def _check_pairs(self):
+            if not 1 <= self.q <= self.r:
+                raise ValueError(f"Gqr needs 1 <= q <= r, got q={self.q}, r={self.r}")
+        elif self.q != 2:
+            raise ValueError("H takes exactly two (k, m) pairs")
         for k, m in self.pairs:
             if k < 0 or m < 0:
                 raise ValueError(f"pendant counts must be non-negative, got ({k}, {m})")
@@ -87,30 +147,13 @@ class FamilySpec:
         return len(self.pairs)
 
     def vertex_count(self) -> int:
-        if self.kind == "path" or self.kind == "cycle" or self.kind == "complete":
-            return self.n
-        if self.kind == "star":
-            return self.n + 1
-        if self.kind == "wheel":
-            return self.n
-        if self.kind == "friendship":
-            return 2 * self.n + 1
-        extra = sum(k + 2 * m for k, m in self.pairs)
-        return (self.r if self.kind == "gqr" else 2) + extra
+        if self.kind in _SIMPLE:
+            return _SIMPLE[self.kind].order(self.n)
+        return (self.r or 2) + sum(k + 2 * m for k, m in self.pairs)
 
     def __str__(self) -> str:
-        if self.kind == "path":
-            return f"P{self.n}"
-        if self.kind == "cycle":
-            return f"C{self.n}"
-        if self.kind == "complete":
-            return f"K{self.n}"
-        if self.kind == "star":
-            return f"K1,{self.n}"
-        if self.kind == "wheel":
-            return f"W{self.n}"
-        if self.kind == "friendship":
-            return f"T{self.n}"
+        if self.kind in _SIMPLE:
+            return f"{_SIMPLE[self.kind].prefix}{self.n}"
         body = ";".join(f"{k},{m}" for k, m in self.pairs)
         if self.kind == "gqr":
             return f"G{self.q}^{self.r}({body})"
@@ -126,15 +169,9 @@ def _parse_pairs(text: str, start: int, end: int) -> tuple[Pair, ...]:
     body = text[start:end]
     if not _PAIRS_RE.fullmatch(body):
         # Locate the first offending character for the caret diagnostic.
-        pos = start
-        for i, ch in enumerate(body):
-            if ch not in "0123456789,;":
-                pos = start + i
-                break
+        pos = next((start + i for i, ch in enumerate(body) if ch not in "0123456789,;"), start)
         raise SpecSyntaxError("expected 'k,m' pairs separated by ';'", text, pos)
-    return tuple(
-        (int(p.split(",")[0]), int(p.split(",")[1])) for p in body.split(";")
-    )
+    return tuple(tuple(map(int, p.split(","))) for p in body.split(";"))
 
 
 def parse_spec(text: str) -> FamilySpec:
@@ -162,20 +199,13 @@ def parse_spec(text: str) -> FamilySpec:
             if len(pairs) != 2:
                 raise SpecSyntaxError("H takes exactly two pairs", s, m.start(1))
             return FamilySpec("h", pairs=pairs)
-        if head == "K":
-            m = re.fullmatch(r"K1,(\d+)", s)
+        rows = [(kind, row) for kind, row in _SIMPLE.items() if row.prefix[0] == head]
+        for kind, row in rows:
+            m = re.fullmatch(rf"{row.prefix}(\d+)", s)
             if m:
-                return FamilySpec("star", n=int(m.group(1)))
-            m = re.fullmatch(r"K(\d+)", s)
-            if m:
-                return FamilySpec("complete", n=int(m.group(1)))
-            raise SpecSyntaxError("expected K{n} or K1,{n}", s, 1)
-        simple = {"P": "path", "C": "cycle", "T": "friendship", "W": "wheel"}
-        if head in simple:
-            m = re.fullmatch(rf"{head}(\d+)", s)
-            if not m:
-                raise SpecSyntaxError(f"expected {head}{{n}}", s, 1)
-            return FamilySpec(simple[head], n=int(m.group(1)))
+                return FamilySpec(kind, n=int(m.group(1)))
+        if rows:
+            raise SpecSyntaxError("expected " + " or ".join(row.prefix + "{n}" for _, row in rows), s, 1)
     except SpecSyntaxError:
         raise
     except ValueError as exc:
@@ -194,120 +224,52 @@ class BuiltFamily:
 
 
 def build(spec: FamilySpec) -> BuiltFamily:
-    """Realize the spec with a fixed canonical labeling and a vertex->role map."""
-    kind = spec.kind
-    edges: list[tuple[int, int]] = []
-    roles: dict[int, str] = {}
-    if kind == "path":
-        n = spec.n
-        edges = [(i, i + 1) for i in range(n - 1)]
-        roles = {i: f"v{i + 1}" for i in range(n)}
-        return BuiltFamily(Graph(n, edges), roles)
-    if kind == "cycle":
-        n = spec.n
-        edges = [(i, (i + 1) % n) for i in range(n)]
-        roles = {i: f"x{i + 1}" for i in range(n)}
-        return BuiltFamily(Graph(n, edges), roles)
-    if kind == "complete":
-        n = spec.n
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        roles = {i: f"v{i + 1}" for i in range(n)}
-        return BuiltFamily(Graph(n, edges), roles)
-    if kind == "star":
-        n = spec.n + 1
-        edges = [(0, i) for i in range(1, n)]
-        roles = {0: "hub", **{i: f"leaf{i}" for i in range(1, n)}}
-        return BuiltFamily(Graph(n, edges), roles)
-    if kind == "wheel":
-        n = spec.n
-        rim = n - 1
-        edges = [(1 + i, 1 + (i + 1) % rim) for i in range(rim)] + [(0, 1 + i) for i in range(rim)]
-        roles = {0: "hub", **{1 + i: f"r{i + 1}" for i in range(rim)}}
-        return BuiltFamily(Graph(n, edges), roles)
-    if kind == "friendship":
-        n = 2 * spec.n + 1
-        roles = {0: "hub"}
-        for t in range(spec.n):
-            a, b = 1 + 2 * t, 2 + 2 * t
-            edges += [(0, a), (0, b), (a, b)]
-            roles[a] = f"a{t + 1}"
-            roles[b] = f"b{t + 1}"
-        return BuiltFamily(Graph(n, edges), roles)
-    if kind == "gqr":
-        r = spec.r
-        edges = [(i, (i + 1) % r) for i in range(r)]
-        roles = {i: f"x{i + 1}" for i in range(r)}
-        nxt = r
-        for i, (k, m) in enumerate(spec.pairs, start=1):
-            anchor = i - 1
-            for j in range(1, k + 1):
-                edges.append((anchor, nxt))
-                roles[nxt] = f"w{i}_{j}"
-                nxt += 1
-            for j in range(1, m + 1):
-                u, v = nxt, nxt + 1
-                edges += [(anchor, u), (anchor, v), (u, v)]
-                roles[u] = f"u{i}_{j}"
-                roles[v] = f"v{i}_{j}"
-                nxt += 2
-        return BuiltFamily(Graph(nxt, edges), roles)
-    # kind == "h"
-    edges = [(0, 1)]
-    roles = {0: "u1", 1: "u2"}
-    nxt = 2
+    """Realize the spec with a fixed canonical labeling and a vertex->role map.
+
+    A decorated kind is its main block on vertices 0, 1, ..., with the i-th
+    pair's pendant edges, then its pendant triangles, on main vertex i - 1.
+    """
+    if spec.kind in _SIMPLE:
+        row = _SIMPLE[spec.kind]
+        return BuiltFamily(Graph(row.order(spec.n), row.edges(spec.n)), dict(enumerate(row.roles(spec.n))))
+    main, (a, b) = _DECORATED[spec.kind]
+    r = spec.r or 2  # H's main block is its two hubs
+    edges = _ring(r)  # for r = 2, (0, 1) and (1, 0): Graph keeps one hub edge
+    roles = [f"{main}{i + 1}" for i in range(r)]
     for i, (k, m) in enumerate(spec.pairs, start=1):
-        anchor = i - 1
         for j in range(1, k + 1):
-            edges.append((anchor, nxt))
-            roles[nxt] = f"w{i}_{j}"
-            nxt += 1
+            edges.append((i - 1, len(roles)))
+            roles.append(f"w{i}_{j}")
         for j in range(1, m + 1):
-            u, v = nxt, nxt + 1
-            edges += [(anchor, u), (anchor, v), (u, v)]
-            roles[u] = f"a{i}_{j}"
-            roles[v] = f"b{i}_{j}"
-            nxt += 2
-    return BuiltFamily(Graph(nxt, edges), roles)
+            u = len(roles)
+            edges += [(i - 1, u), (i - 1, u + 1), (u, u + 1)]
+            roles += [f"{a}{i}_{j}", f"{b}{i}_{j}"]
+    return BuiltFamily(Graph(len(roles), edges), dict(enumerate(roles)))
 
 
 # -- closed forms ------------------------------------------------------------
 
 
+#: Gqr's closed forms by (r, q), from the pendant-triangle counts m_i.
+_GQR_CHI_RHO = {
+    (5, 1): lambda ms: 4 if sum(ms) == 0 else sum(ms) + 3,
+    (5, 2): lambda ms: 4 if sum(ms) == 0 else sum(ms) + (3 if 0 in ms else 2),
+    (4, 1): lambda ms: 3 if sum(ms) == 0 else sum(ms) + 2,
+    (4, 2): lambda ms: 4 if sum(ms) == 0 else sum(ms) + 3,
+}
+
+
 def closed_form_chi_rho(spec: FamilySpec) -> Optional[int]:
     """The family's exact packing chromatic number when a closed form is
     known; None where no formula covers the parameters."""
-    kind = spec.kind
-    if kind == "complete":
-        return spec.n
-    if kind == "star":
-        return 2 if spec.n >= 1 else None
-    if kind == "friendship":
-        return spec.n + 2
-    if kind == "cycle":
-        return {3: 3, 4: 3, 5: 4}.get(spec.n)
-    if kind == "path":
-        return {1: 1, 2: 2, 3: 2, 4: 3, 5: 3}.get(spec.n)
-    if kind == "gqr":
-        t = sum(m for _, m in spec.pairs)
-        if spec.r == 5 and spec.q == 1:
-            return 4 if t == 0 else t + 3
-        if spec.r == 5 and spec.q == 2:
-            m1, m2 = spec.pairs[0][1], spec.pairs[1][1]
-            if m1 == 0 and m2 == 0:
-                return 4
-            if m1 == 0 or m2 == 0:
-                return t + 3
-            return t + 2
-        if spec.r == 4 and spec.q == 1:
-            return 3 if t == 0 else t + 2
-        if spec.r == 4 and spec.q == 2:
-            return 4 if t == 0 else t + 3
-        return None
-    if kind == "h":
-        for (ka, ma), (kb, mb) in (spec.pairs, spec.pairs[::-1]):
-            if ma >= 1 and mb == 0 and kb >= 2:
-                return ma + 3  # |V| - alpha + 1 for this shape
-        return None
+    if spec.kind in _SIMPLE:
+        return _SIMPLE[spec.kind].chi_rho(spec.n)
+    if spec.kind == "gqr":
+        form = _GQR_CHI_RHO.get((spec.r, spec.q))
+        return None if form is None else form([m for _, m in spec.pairs])
+    for (ka, ma), (kb, mb) in (spec.pairs, spec.pairs[::-1]):
+        if ma >= 1 and mb == 0 and kb >= 2:
+            return ma + 3  # |V| - alpha + 1 for this shape
     return None
 
 
@@ -317,29 +279,24 @@ def _triangles_only(pairs: Iterable[Pair]) -> bool:
     return all(k == 0 and m >= 2 for k, m in pairs)
 
 
-#: The critical radius-2, diameter-3 cacti, clause by clause: (name,
-#: predicate on the spec).  Pendant positions on a triangle main block and on
-#: the two H hubs are interchangeable, so those clauses match sorted pairs.
+#: The critical radius-2, diameter-3 cacti, clause by clause: (name, the
+#: (kind, r, q) shape it covers, predicate on the sorted pairs).  Pendant
+#: positions on a triangle main block and on the two H hubs are
+#: interchangeable, and the other clauses read no position.  Clause (i) is
+#: P4, which is H(1,0;1,0).
 _CRITICAL_CLAUSES = (
-    ("i", lambda s: s.kind == "path" and s.n == 4),
-    ("ii", lambda s: s.kind == "gqr" and s.r == 5 and s.q == 1
-        and s.pairs[0][0] == 0 and s.pairs[0][1] >= 2),
-    ("iii", lambda s: s.kind == "gqr" and s.r == 4 and s.q == 2
-        and sorted(s.pairs) == [(1, 0), (1, 0)]),
-    ("iv", lambda s: s.kind == "gqr" and s.r == 4 and s.q == 2
-        and all(k == 0 and m >= 1 for k, m in s.pairs)),
-    ("v", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
-        and sorted(s.pairs) == [(1, 0), (1, 0), (1, 0)]),
-    ("vi", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
-        and sorted(s.pairs) == [(0, 1), (2, 0), (2, 0)]),
-    ("vii", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3 and _triangles_only(s.pairs)),
-    ("viii", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
-        and sorted(s.pairs)[2] == (2, 0) and _triangles_only(sorted(s.pairs)[:2])),
-    ("ix", lambda s: s.kind == "gqr" and s.r == 3 and s.q == 3
-        and sorted(s.pairs)[1:] == [(2, 0), (2, 0)] and _triangles_only(sorted(s.pairs)[:1])),
-    ("x", lambda s: s.kind == "h" and sorted(s.pairs) == [(0, 1), (2, 0)]),
-    ("xi", lambda s: s.kind == "h" and _triangles_only(s.pairs)),
-    ("xii", lambda s: s.kind == "h" and sorted(s.pairs)[1] == (2, 0) and _triangles_only(sorted(s.pairs)[:1])),
+    ("i", ("h", 0, 2), lambda p: p == [(1, 0), (1, 0)]),
+    ("ii", ("gqr", 5, 1), lambda p: p[0][0] == 0 and p[0][1] >= 2),
+    ("iii", ("gqr", 4, 2), lambda p: p == [(1, 0), (1, 0)]),
+    ("iv", ("gqr", 4, 2), lambda p: all(k == 0 and m >= 1 for k, m in p)),
+    ("v", ("gqr", 3, 3), lambda p: p == [(1, 0), (1, 0), (1, 0)]),
+    ("vi", ("gqr", 3, 3), lambda p: p == [(0, 1), (2, 0), (2, 0)]),
+    ("vii", ("gqr", 3, 3), _triangles_only),
+    ("viii", ("gqr", 3, 3), lambda p: p[2] == (2, 0) and _triangles_only(p[:2])),
+    ("ix", ("gqr", 3, 3), lambda p: p[1:] == [(2, 0), (2, 0)] and _triangles_only(p[:1])),
+    ("x", ("h", 0, 2), lambda p: p == [(0, 1), (2, 0)]),
+    ("xi", ("h", 0, 2), _triangles_only),
+    ("xii", ("h", 0, 2), lambda p: p[1] == (2, 0) and _triangles_only(p[:1])),
 )
 
 #: The (r, q) shapes of Gqr that are radius-2, diameter-3 cacti.
@@ -348,11 +305,12 @@ _CLAUSE_SCOPE = frozenset({(5, 1), (5, 2), (4, 1), (4, 2), (3, 3), (3, 2)})
 
 def critical_clause(spec: FamilySpec) -> Optional[str]:
     """The first clause, (i) to (xii), of the critical radius-2 diameter-3
-    cactus list that ``spec`` satisfies, by name, or None.  H(1,0;1,0) is
-    P4 and matches clause (i)."""
-    if spec.kind == "h" and sorted(spec.pairs) == [(1, 0), (1, 0)]:
-        spec = FamilySpec("path", n=4)
-    return next((name for name, pred in _CRITICAL_CLAUSES if pred(spec)), None)
+    cactus list that ``spec`` satisfies, by name, or None.  P4 matches
+    clause (i)."""
+    if spec.kind == "path":
+        return "i" if spec.n == 4 else None
+    shape, pairs = (spec.kind, spec.r, spec.q), sorted(spec.pairs)
+    return next((name for name, at, pred in _CRITICAL_CLAUSES if at == shape and pred(pairs)), None)
 
 
 def closed_form_critical(spec: FamilySpec) -> Optional[bool]:

@@ -20,7 +20,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import families
 from .classify import (
@@ -32,7 +32,7 @@ from .classify import (
 from .criticality import is_edge_critical
 from .enumeration import EnumerationFilter, enumerate_graphs
 from .errors import CharacterizationError, PreconditionError
-from .families import FamilySpec, build, closed_form_chi_rho, closed_form_critical
+from .families import FamilySpec, Pair, build, closed_form_chi_rho, closed_form_critical
 from .graphio import emit_graph6, parse_graph6
 from .graphs import (
     Graph,
@@ -242,39 +242,36 @@ def _lem_rad3_payloads(cfg: dict) -> list[dict]:
     return [{"g6": key} for key in dict.fromkeys(emit_graph6(g) for g in graphs)]
 
 
+def _decorations(q: int, budget: int) -> Iterator[tuple[Pair, ...]]:
+    """Every q-tuple of (k, m) pairs with k + m >= 1 whose pendant vertices,
+    k + 2m per pair, total at most ``budget``, in lexicographic order."""
+    if q == 0:
+        yield ()
+        return
+    for k in range(budget + 1):
+        for m in range(0 if k else 1, (budget - k) // 2 + 1):
+            for rest in _decorations(q - 1, budget - k - 2 * m):
+                yield ((k, m),) + rest
+
+
 def _gq1_specs(r: int, max_v: int) -> list[FamilySpec]:
-    out = []
-    budget = max_v - r
-    for m1 in range(budget // 2 + 1):
-        for k1 in range(budget - 2 * m1 + 1):
-            if k1 + m1 >= 1:
-                out.append(FamilySpec("gqr", r=r, pairs=((k1, m1),)))
-    return out
+    return [FamilySpec("gqr", r=r, pairs=pairs) for pairs in _decorations(1, max_v - r)]
 
 
 def _gq2_specs(r: int, max_v: int) -> list[FamilySpec]:
-    out = []
-    budget = max_v - r
-    for k1 in range(budget + 1):
-        for m1 in range((budget - k1) // 2 + 1):
-            if k1 + m1 < 1:
-                continue
-            for k2 in range(budget - k1 - 2 * m1 + 1):
-                for m2 in range((budget - k1 - 2 * m1 - k2) // 2 + 1):
-                    if k2 + m2 < 1:
-                        continue
-                    out.append(FamilySpec("gqr", r=r, pairs=((k1, m1), (k2, m2))))
-    return out
+    return [FamilySpec("gqr", r=r, pairs=pairs) for pairs in _decorations(2, max_v - r)]
 
 
 def _h_lemma7_specs(max_v: int) -> list[FamilySpec]:
-    out = []
-    budget = max_v - 2
-    for m1 in range(1, budget // 2 + 1):
-        for k1 in range(budget - 2 * m1 + 1):
-            for k2 in range(2, budget - 2 * m1 - k1 + 1):
-                out.append(FamilySpec("h", pairs=((k1, m1), (k2, 0))))
-    return out
+    """H(k1,m1;k2,0) with m1 >= 1 and k2 >= 2."""
+    decorations = _decorations(2, max_v - 2)
+    return [FamilySpec("h", pairs=(a, b)) for a, b in decorations if a[1] >= 1 and b[1] == 0 and b[0] >= 2]
+
+
+def _c4_pair_specs(keep: Callable[[int, int], bool]):
+    """Spec source: the decorated C4s with two cut vertices whose pendant
+    edge and pendant triangle totals, k1 + k2 and m1 + m2, pass ``keep``."""
+    return _specs(lambda v: (s for s in _gq2_specs(4, v) if keep(*map(sum, zip(*s.pairs)))))
 
 
 def _teo1_instances() -> list[FamilySpec]:
@@ -353,20 +350,6 @@ def _obsv1(G: Graph, _):
     return True, True
 
 
-def _gq2_leaves_only(v):
-    return (
-        s for s in _gq2_specs(4, v)
-        if s.pairs[0][1] == 0 and s.pairs[1][1] == 0 and s.pairs[0][0] + s.pairs[1][0] >= 3
-    )
-
-
-def _gq2_mixed(v):
-    return (
-        s for s in _gq2_specs(4, v)
-        if s.pairs[0][1] + s.pairs[1][1] >= 1 and s.pairs[0][0] + s.pairs[1][0] >= 1
-    )
-
-
 # -- the sweeps ----------------------------------------------------------------
 
 _MV = "max_vertices"  # the size every sweep but the hub sweeps (base_max) reads
@@ -393,9 +376,9 @@ THEOREMS: dict[str, Sweep] = {sweep.theorem: sweep for sweep in (
     Sweep("pro13", lambda c: f"decorated C4, two cut vertices, |V|<={c[_MV]}: criticality clauses",
           _specs(lambda v: _gq2_specs(4, v)), _closed_critical, {_MV: 12}),
     Sweep("pro15", lambda c: f"decorated C4, leaves only, k1+k2>=3, |V|<={c[_MV]}: never critical",
-          _specs(_gq2_leaves_only), _never_critical, {_MV: 12}),
+          _c4_pair_specs(lambda k, m: m == 0 and k >= 3), _never_critical, {_MV: 12}),
     Sweep("pro16", lambda c: f"decorated C4, mixed pendants, |V|<={c[_MV]}: never critical",
-          _specs(_gq2_mixed), _never_critical, {_MV: 12}),
+          _c4_pair_specs(lambda k, m: m >= 1 and k >= 1), _never_critical, {_MV: 12}),
     Sweep("lemma4", lambda c: f"connected graphs n<={c[_MV]}: chi <= |V|-alpha+1, equality at diameter 2",
           _class(connected=True), _lemma4, {_MV: 7}),
     Sweep("lemma5", lambda c: f"friendship graphs with at most {(c[_MV] - 1) // 2} triangles: chi = n+2",

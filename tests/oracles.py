@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 from math import factorial, inf
 from typing import NamedTuple, Optional
 
+from packcrit.enumeration import canonical_cert
 from packcrit.graphs import DistanceMatrix, Graph, all_pairs_distances, delete_edge, delete_vertex
 from packcrit.independence import mis_size_bits
 from packcrit.packing import chi_rho, packs_within
@@ -392,3 +393,42 @@ def brute_automorphisms(G: Graph) -> frozenset[tuple[int, ...]]:
 
     extend()
     return frozenset(found)
+
+
+# -- cacti by block attachment (the cactus lattice's second route) ------------
+
+
+def cacti_by_block_attachment(max_n: int) -> list[Graph]:
+    """Second, independent cactus generator: grow block trees by attaching a
+    fresh K2 or cycle block at an existing vertex.  Used to cross-check the
+    augmentation lattice on overlapping ranges."""
+    seen: dict[tuple[int, int], Graph] = {}
+    frontier: list[Graph] = [Graph(1)]
+    seen[canonical_cert(Graph(1))] = Graph(1)
+    while frontier:
+        nxt: list[Graph] = []
+        for G in frontier:
+            for anchor in range(G.n):
+                # pendant edge
+                sizes = [2]
+                # new cycle blocks C_len using len-1 fresh vertices
+                sizes.extend(range(3, max_n - G.n + 2))
+                for blk in sizes:
+                    fresh = blk - 1
+                    if G.n + fresh > max_n:
+                        continue
+                    edges = G.edges()
+                    ring = [anchor] + [G.n + i for i in range(fresh)]
+                    if blk == 2:
+                        edges.append((ring[0], ring[1]))
+                    else:
+                        edges.extend(
+                            (ring[i], ring[(i + 1) % blk]) for i in range(blk)
+                        )
+                    cand = Graph(G.n + fresh, edges)
+                    cert = canonical_cert(cand)
+                    if cert not in seen:
+                        seen[cert] = cand
+                        nxt.append(cand)
+        frontier = nxt
+    return [seen[cert] for cert in sorted(seen)]

@@ -16,7 +16,6 @@ from packcrit.enumeration import (
     _orbit_firsts,
     _refine,
     _search,
-    cacti_by_block_attachment,
     canonical_cert,
     enumerate_graphs,
     representatives,
@@ -25,7 +24,13 @@ from packcrit.errors import CapExceededError
 from packcrit.graphio import emit_graph6
 from packcrit.graphs import Graph, is_block_graph, is_cactus, is_connected, is_tree
 from packcrit.iso import is_isomorphic
-from oracles import brute_automorphisms, connected_counts_from_all, count_unlabeled_graphs, reference_refine
+from oracles import (
+    brute_automorphisms,
+    cacti_by_block_attachment,
+    connected_counts_from_all,
+    count_unlabeled_graphs,
+    reference_refine,
+)
 
 # Connected-class counts for n = 3..7, frozen from the Burnside/Euler oracle
 # (recomputed for n <= 6 below; the n=7 value is the frozen regression).

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from packcrit.classify import classify_cactus_rad2_diam3
@@ -14,6 +17,7 @@ from packcrit.families import (
     parse_spec,
     recognize,
 )
+from packcrit.graphio import emit_graph6
 from packcrit.graphs import diameter, is_cactus, leaves, radius
 from packcrit.iso import is_isomorphic
 from packcrit.packing import chi_rho
@@ -64,6 +68,22 @@ class TestGrammar:
             parse_spec("Q5")
         with pytest.raises(SpecSyntaxError):
             parse_spec("G1^5(0,2")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(kind="gqr", n=7, r=5, pairs=((0, 2),)),
+            dict(kind="path", n=4, r=5),
+            dict(kind="cycle", n=5, pairs=((1, 0),)),
+            dict(kind="h", r=3, pairs=((1, 0), (1, 0))),
+            dict(kind="h", n=1, pairs=((1, 0), (1, 0))),
+        ],
+    )
+    def test_unread_fields_rejected(self, fields):
+        # Such a spec would print as the spec without the field, yet compare
+        # unequal to it.
+        with pytest.raises(ValueError, match="takes no"):
+            FamilySpec(**fields)
 
     def test_invariants_enforced(self):
         with pytest.raises(SpecSyntaxError):
@@ -307,3 +327,87 @@ class TestMetricSanity:
             if radius(g) != 2 or diameter(g) != 3:
                 violations.append(str(spec))
         assert violations == [], f"members outside radius 2 / diameter 3: {violations}"
+
+
+# -- one fixed probe set over the whole spec layer ----------------------------
+
+SIMPLE_KINDS = ("path", "cycle", "complete", "star", "wheel", "friendship")
+
+# Texts the grammar must reject, each at its own caret position.
+MALFORMED = (
+    "", "   ", "Q5", "p4", "G", "G1^5(0,2", "G2^4(1,2;x,1)", "G1^6(1,0)", "G2^5(0,0;1,0)",
+    "G3^5(1,0;1,0)", "G0^3()", "G1^3()", "G1^3(1,0;)", "G4^3(1,0;1,0;1,0;1,0)", "G1^5(0,-1)",
+    "G1^5 (0,2)", "G1^5(0,2))", "H", "H(1,0)", "H(1,0;2,0;3,0)", "H1,0;1,0)", "H(0,0;1,0)",
+    "H(a,b;1,1)", "H()", "K", "K1,", "K1,x", "Kx", "K1,3x", "K-1", "P", "Px", "P-1", "P4 4",
+    "C", "C2", "W3", "T0", "W", "T", " G2^4(1,2;x,1) ", "K 3",
+)
+
+# (kind, r, pairs) that the decorated kinds' invariants must reject, and an
+# unknown kind.
+BAD_DECORATED = (
+    ("gqr", 6, ((1, 0),)), ("gqr", 0, ((1, 0),)), ("gqr", 3, ()), ("gqr", 3, ((1, 0),) * 4),
+    ("gqr", 4, ((-1, 2),)), ("gqr", 4, ((0, 0),)), ("gqr", 5, ((1, 0), (0, -1))),
+    ("h", 0, ((1, 0),)), ("h", 0, ((1, 0), (0, 0))), ("h", 0, ((1, -1), (1, 0))),
+    ("h", 0, ((1, 0),) * 3), ("nope", 0, ()),
+)
+
+
+def _spec_record(spec):
+    built = build(spec)
+    return [
+        repr(spec), str(spec), spec.vertex_count(), emit_graph6(built.graph),
+        sorted(built.roles.items()), closed_form_chi_rho(spec), closed_form_critical(spec),
+    ]
+
+
+def _probe_specs():
+    """(probe, spec or error record) for every probe: each simple kind by
+    constructor for n from -1 to 8 and by text for n from 0 to 8, every Gqr
+    and H spec on at most 9 vertices by constructor and by text, and
+    malformed texts."""
+    probes = []
+
+    def construct(label, make):
+        try:
+            probes.append((label, make()))
+        except ValueError as exc:
+            probes.append((label, [type(exc).__name__, str(exc)]))
+
+    def parse(text):
+        try:
+            probes.append((text, parse_spec(text)))
+        except SpecSyntaxError as exc:
+            probes.append((text, ["SpecSyntaxError", str(exc), exc.position, exc.text]))
+
+    for kind in SIMPLE_KINDS:
+        for n in range(-1, 9):
+            construct(f"{kind}:{n}", lambda: FamilySpec(kind, n=n))
+    for kind, r, pairs in BAD_DECORATED:
+        construct(f"{kind}:{r}:{pairs}", lambda: FamilySpec(kind, r=r, pairs=pairs))
+    for spec in decorated_specs(9):
+        probes.append((f"{spec.kind}:{spec.r}:{spec.pairs}", spec))
+        parse(str(spec))
+    for n in range(0, 9):
+        for template in ("P{}", "C{}", "K{}", "K1,{}", "W{}", "T{}", "K0{}"):
+            parse(template.format(n))
+    for text in MALFORMED:
+        parse(text)
+    return probes
+
+
+class TestProbeSet:
+    def test_probe_digest_pinned(self):
+        # Recorded before the kinds became table rows: parse results, text,
+        # order, graph6, roles, both closed forms, error texts and carets.
+        records = [
+            json.dumps([label, got if isinstance(got, list) else _spec_record(got)])
+            for label, got in _probe_specs()
+        ]
+        digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+        assert (len(records), digest) == (801, "bc3bf277f67fb26e289529c2e12832609323c6ff3dd6ce9b8753c2ebda2e7490")
+
+    def test_vertex_count_is_built_order(self):
+        specs = [got for _, got in _probe_specs() if isinstance(got, FamilySpec)]
+        assert specs
+        for spec in specs:
+            assert spec.vertex_count() == build(spec).graph.n, spec

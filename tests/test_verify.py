@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from packcrit.errors import CharacterizationError, PreconditionError
 from packcrit.graphio import parse_graph6
-from packcrit.verify import THEOREMS, run_sweep
+from packcrit.verify import THEOREMS, _decorations, run_sweep
 
 ALL_IDS = [
     "pro4", "pro5", "pro6", "pro7", "pro8", "pro9", "pro10", "pro11", "pro12",
@@ -51,6 +52,17 @@ def test_records_sorted_canonically():
     rep = run_sweep("pro10", max_vertices=10)
     keys = [(r["instance_g6"], r["spec"] or "") for r in rep.records]
     assert keys == sorted(keys)
+
+
+def test_decorations_are_the_brute_filter():
+    for q in range(4):
+        for budget in range(11):
+            pairs = itertools.product(range(budget + 1), range(budget // 2 + 1))
+            brute = [
+                ps for ps in itertools.product(pairs, repeat=q)
+                if all(k + m >= 1 for k, m in ps) and sum(k + 2 * m for k, m in ps) <= budget
+            ]
+            assert list(_decorations(q, budget)) == brute, (q, budget)
 
 
 def test_smaller_scale_sweeps_pass():
