@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import enumeration
 from .errors import PreconditionError
-from .graphs import Edge, Graph, delete_edge, delete_vertex, radius
+from .graphs import Edge, Graph, delete_edge, delete_vertex, radius, twin_classes
 from .packing import chi_rho, packs_within
 
 Deletion = Union[Edge, int]
@@ -121,7 +121,7 @@ class _LoweredOrbits:
             return False
         if not self._twin:
             G = self._G
-            self._twin = enumeration._twin_classes(G.adjacency_bits())
+            self._twin = twin_classes(G.adjacency_bits())
             nbrs = [G.neighbors(v) for v in range(G.n)]
             deg = [len(ns) for ns in nbrs]
             self._vertex_sigs = [(deg[v], tuple(sorted([deg[w] for w in ns]))) for v, ns in enumerate(nbrs)]

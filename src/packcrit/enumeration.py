@@ -50,6 +50,7 @@ from .graphs import (
     is_cactus,
     is_connected,
     is_tree,
+    twin_classes,
 )
 
 ENV_CAP = "PACKCRIT_MAX_N"
@@ -180,28 +181,6 @@ def _refine(nbrs: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
         colors = new
 
 
-def _twin_classes(adj: tuple[int, ...]) -> list[int]:
-    """Each vertex's twin class, named by its first member, from the
-    adjacency bitmasks: twins have equal open or equal closed neighborhoods.
-
-    An open neighborhood never equals a closed one: the closed one of v
-    holds v, so it could only be the open one of a neighbor u of v, which
-    lacks u.  And no vertex has both an open twin and a closed twin: a
-    closed twin w of v is a neighbor of v, so it is adjacent to an open
-    twin u of v as well, which puts u in N[w] = N[v], though open twins are
-    never adjacent.  So both kinds of key share one dict, and the classes
-    partition the vertices; transposing two members of a class is an
-    automorphism."""
-    first: dict[int, int] = {}
-    classes = []
-    for v, a in enumerate(adj):
-        c = first.get(a, first.get(a | (1 << v)))
-        if c is None:
-            c = first[a] = first[a | (1 << v)] = v
-        classes.append(c)
-    return classes
-
-
 def _search(G: Graph) -> tuple[int, list[list[int]]]:
     """The individualization-refinement search behind ``canonical_cert``:
     the minimum adjacency code over the discrete leaves, and permutations
@@ -218,7 +197,7 @@ def _search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
     non-singleton cell on every member, and read each discrete leaf's
     adjacency code.  Two kinds of generator come out of the search.  A leaf
     whose code equals the best leaf's gives the automorphism between the
-    two labelings.  A twin (a vertex in the ``_twin_classes`` class of a
+    two labelings.  A twin (a vertex in the ``twin_classes`` class of a
     member already split on) is not split on, because the transposition
     of the two twins is an automorphism that fixes the current node; that
     transposition is returned, once however many nodes skip it.  Any
@@ -231,7 +210,7 @@ def _search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
     if n <= 1:
         return 0, []
     nbrs = tuple(tuple(w for w in range(n) if a >> w & 1) for a in adj)
-    twin_class = _twin_classes(adj)
+    twin_class = twin_classes(adj)
     best: Optional[int] = None
     best_inv: list[int] = []
     gens: list[list[int]] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DisconnectedGraphError, GraphInputError
 
@@ -168,14 +168,59 @@ def center(G: Graph) -> frozenset[int]:
     return frozenset(v for v in range(G.n) if eccs[v] == rad)
 
 
+# -- twins -----------------------------------------------------------------
+
+
+def twin_classes(adj: Sequence[int]) -> list[int]:
+    """Each vertex's twin class, named by its first member, from the
+    adjacency bitmasks: twins have equal open or equal closed neighborhoods.
+
+    An open neighborhood never equals a closed one: the closed one of v
+    holds v, so it could only be the open one of a neighbor u of v, which
+    lacks u.  And no vertex has both an open twin and a closed twin: a
+    closed twin w of v is a neighbor of v, so it is adjacent to an open
+    twin u of v as well, which puts u in N[w] = N[v], though open twins are
+    never adjacent.  So both kinds of key share one dict, and the classes
+    partition the vertices; transposing two members of a class is an
+    automorphism."""
+    first: dict[int, int] = {}
+    classes = []
+    for v, a in enumerate(adj):
+        c = first.get(a)
+        if c is None:
+            b = a | (1 << v)
+            c = first.get(b)
+            if c is None:
+                c = first[a] = first[b] = v
+        classes.append(c)
+    return classes
+
+
 # -- deletions -------------------------------------------------------------
 
 
 def delete_edge(G: Graph, e: Edge) -> Graph:
+    """G without the edge ``e``, built from G's own adjacency rows, edge set
+    and cached bitmasks rather than from a re-validated edge list."""
     e = _norm(*e)
-    if not G.has_edge(*e):
+    if e not in G._edges:
         raise GraphInputError(f"edge {e!r} not in graph")
-    return Graph(G.n, (f for f in G.edges() if f != e))
+    u, v = e
+    adj = list(G._adj)
+    adj[u] = tuple(w for w in adj[u] if w != v)
+    adj[v] = tuple(w for w in adj[v] if w != u)
+    H = Graph.__new__(Graph)
+    H.n = G.n
+    H._adj = tuple(adj)
+    H._edges = G._edges - {e}
+    H._hash = hash((H.n, H._edges))
+    H._bits = None
+    if G._bits is not None:
+        bits = list(G._bits)
+        bits[u] &= ~(1 << v)
+        bits[v] &= ~(1 << u)
+        H._bits = tuple(bits)
+    return H
 
 
 def delete_vertex(G: Graph, v: int) -> tuple[Graph, dict[int, int]]:

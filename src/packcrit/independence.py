@@ -9,7 +9,9 @@ chain of them adds no recursion depth:
   counted in closed form;
 - simplicial vertex: when the neighbourhood of a minimum-degree vertex is
   a clique, some maximum independent set holds that vertex, so it is taken
-  and its closed neighbourhood dropped.
+  and its closed neighbourhood dropped.  When it is a leaf, the leaves that
+  dropping its neighbour leaves behind are taken in turn without scanning
+  the mask again, so a path of n vertices costs one scan, not n / 2.
 
 Only then does it branch on a maximum-degree vertex (include/exclude),
 and it splits a disconnected mask: a bit-parallel search grows the
@@ -92,8 +94,25 @@ def _mis_size(bits: Sequence[int], mask: int, memo: dict[int, int]) -> int:
             if nbrs & ~bits[b.bit_length() - 1] != b:
                 break
         else:
+            # When low_v is a leaf, follow the leaves that removing its
+            # neighbour leaves behind, without a rescan: a vertex of ``near``
+            # (next to a removed vertex) with one neighbour, itself of degree
+            # >= 2, is taken with that neighbour, whose other neighbours
+            # join ``near``.  A path then costs one scan, not one per take;
+            # isolated vertices and edges are left to the next scan.
             taken += 1
             mask &= ~(nbrs | (1 << low_v))
+            near = bits[nbrs.bit_length() - 1] & mask if low_deg == 1 else 0
+            while near:
+                b = near & -near
+                near ^= b
+                nb = bits[b.bit_length() - 1] & mask
+                if nb and nb & (nb - 1) == 0:
+                    x = bits[nb.bit_length() - 1] & mask
+                    if x & (x - 1):
+                        taken += 1
+                        mask ^= b | nb
+                        near = (near | x) & mask
             continue
         # Branch inside best_v's component and add the rest of the mask; a
         # vertex that sees the whole mask leaves nothing outside it.

@@ -14,11 +14,27 @@ set, and a k whose caps sum below |V| is refused unsearched.  Inside the
 search a node is refused when its colors can no longer hold the uncolored
 vertices: a necessary condition for any completion, so the search still
 visits the surviving nodes in the same order and finds the same coloring.
+
+Twins (vertices with equal open or equal closed neighbourhoods) are
+interchangeable, and the search does not color them both ways round: each
+vertex's colors start from a floor, the color of the previous member of
+its twin class in search order.  This is the twin-group part of the
+lex-leader construction (J. Crawford, M. Ginsberg, E. Luks and A. Roy,
+"Symmetry-breaking predicates for search problems", KR 1996).  The
+unfloored search returns the lexicographically least coloring, in search
+order, whose high colors open in increasing order.  If that coloring s had
+s(u) > s(v) for twins u before v, then s(v) is a low color (two high
+colors open in order), and swapping u and v, an automorphism, would give
+a coloring that agrees with s before u and is smaller at u.  So the floors
+cut only subtrees that hold no first coloring, and every witness is
+unchanged.  The twin classes are read once per graph from the distance-1
+balls, and only when a search runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 from typing import Callable, NamedTuple, Optional
 
@@ -30,6 +46,7 @@ from .graphs import (
     diameter,
     induced_subgraph,
     is_connected,
+    twin_classes,
 )
 from .independence import alpha, mis_size_bits
 
@@ -140,6 +157,13 @@ class _ClassCaps:
         self.masks: list[list[int]] = [[0] * G.n]
         self.caps = [0]
 
+    @cached_property
+    def plan(self) -> tuple[list[int], list[int]]:
+        """``_search_plan(masks)``, read when a search first asks, so once
+        per graph at most; color 1 must be built (or the diameter found)
+        first."""
+        return _search_plan(self.masks)
+
     @property
     def d(self) -> int:
         """The diameter; finding it builds every color below it."""
@@ -181,7 +205,34 @@ def diam2_formula(G: Graph) -> int:
     return G.n - alpha(G) + 1
 
 
-def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Optional[list[int]]:
+def _search_plan(masks: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The search order, non-increasing degree with ties in vertex order,
+    and each vertex's previous twin in that order (``graphs.twin_classes``;
+    n for the first of its class), read from the distance-1 balls
+    ``masks[1]``, which are the adjacency bitmasks.  Twins share a degree,
+    so a class is searched in vertex order.  Below diameter 2 the graph is
+    complete and no vertex gets a twin: every color is then high, and the
+    high colors already open in order."""
+    n = len(masks[0])
+    if len(masks) == 1:
+        return list(range(n)), [n] * n
+    adj = masks[1]
+    order = sorted(range(n), key=[-a.bit_count() for a in adj].__getitem__)
+    last = [n] * n
+    prev = []
+    for v, c in enumerate(twin_classes(adj)):
+        prev.append(last[c])
+        last[c] = v
+    return order, prev
+
+
+def _search_k(
+    G: Graph,
+    masks: list[list[int]],
+    caps: list[int],
+    k: int,
+    plan: Optional[tuple[list[int], list[int]]] = None,
+) -> Optional[list[int]]:
     """Find a k-packing coloring of connected G, or prove none exists.
 
     ``masks`` and ``caps`` come from ``_ClassCaps.capacity(k)``, which built
@@ -206,6 +257,17 @@ def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Opti
     coloring below it; the surviving nodes are visited in the same order,
     and the first coloring found is the one the unpruned search finds.
 
+    Each vertex tries colors from its floor: the color of the previous
+    member of its twin class in search order, or 1 for the first member.
+    ``plan`` holds the order and the previous twins, as ``_ClassCaps.plan``
+    does; without it they are read from ``masks``.  For twins u before v
+    the transposition (u v) is an automorphism, so a coloring s with
+    s(u) > s(v) has a smaller image: s(v) is low (two high colors open in
+    order), and the image agrees with s before u and takes the low s(v) at
+    u.  The first coloring the unfloored search finds therefore meets every
+    floor, and a node below a floor holds no coloring the search would
+    return first.
+
     The search recurses once per vertex; a component too large for the
     interpreter's recursion limit raises PreconditionError.
     """
@@ -213,9 +275,8 @@ def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Opti
     d = len(masks)
     low = tuple(range(1, min(k, d - 1) + 1))
     capf = [0] + [caps[i] if i < d else 1 for i in range(1, k + 1)]
-    order = sorted(range(n), key=lambda v: (-G.degree(v), v))
-
-    colors = [0] * n
+    order, prev = plan or _search_plan(masks)
+    colors = [0] * n + [1]  # colors[n] = 1: the floor of a vertex with no earlier twin
     class_cnt = [0] * (k + 1)
     blocked = [0] * (k + 1)
 
@@ -237,7 +298,7 @@ def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Opti
         vb = 1 << v
         rest = uncolored ^ vb
         seen_empty_high = False
-        for i in range(1, k + 1):
+        for i in range(colors[prev[v]], k + 1):
             if class_cnt[i] >= capf[i]:
                 continue
             if i >= d:
@@ -264,7 +325,7 @@ def _search_k(G: Graph, masks: list[list[int]], caps: list[int], k: int) -> Opti
         found = dfs(0, (1 << n) - 1, max(0, k - d + 1))
     except RecursionError:
         raise PreconditionError(f"component of order {n} is too deep for the recursive packing search") from None
-    return list(colors) if found else None
+    return colors[:n] if found else None
 
 
 def _within(G: Graph, classes: _ClassCaps, k: int) -> Optional[list[int]]:
@@ -274,7 +335,7 @@ def _within(G: Graph, classes: _ClassCaps, k: int) -> Optional[list[int]]:
     built holds at least one vertex."""
     if classes.capacity(k) < G.n:
         return None
-    return _search_k(G, classes.masks, classes.caps, k)
+    return _search_k(G, classes.masks, classes.caps, k, classes.plan)
 
 
 def _chi_rho_connected(G: Graph) -> list[int]:

@@ -358,11 +358,11 @@ THEOREMS: dict[str, Sweep] = {sweep.theorem: sweep for sweep in (
     Sweep("pro4", lambda c: f"pendant-decorated C5, one cut vertex, |V|<={c[_MV]}: formula vs solver",
           _specs(lambda v: _gq1_specs(5, v)), _formula, {_MV: 14}),
     Sweep("pro5", lambda c: f"decorated C5 with k1>0, |V|<={c[_MV]}: never critical",
-          _specs(lambda v: (s for s in _gq1_specs(5, v) if s.pairs[0][0] > 0)), _never_critical, {_MV: 12}),
+          _specs(lambda v: (s for s in _gq1_specs(5, v) if s.pairs[0][0] > 0)), _never_critical, {_MV: 16}),
     Sweep("pro6", lambda c: "single triangle on C5: not critical",
           _specs(lambda v: [FamilySpec("gqr", r=5, pairs=((0, 1),))]), _never_critical),
     Sweep("pro7", lambda c: f"decorated C5, one cut vertex, |V|<={c[_MV]}: criticality iff k1=0, m1>=2",
-          _specs(lambda v: _gq1_specs(5, v)), _closed_critical, {_MV: 12}),
+          _specs(lambda v: _gq1_specs(5, v)), _closed_critical, {_MV: 16}),
     Sweep("pro8", lambda c: f"decorated C5, two cut vertices, |V|<={c[_MV]}: formula vs solver",
           _specs(lambda v: _gq2_specs(5, v)), _formula, {_MV: 14}),
     Sweep("pro9", lambda c: f"decorated C5, two cut vertices, |V|<={c[_MV]}: never critical",
@@ -370,13 +370,13 @@ THEOREMS: dict[str, Sweep] = {sweep.theorem: sweep for sweep in (
     Sweep("pro10", lambda c: f"decorated C4, one cut vertex, |V|<={c[_MV]}: formula vs solver",
           _specs(lambda v: _gq1_specs(4, v)), _formula, {_MV: 14}),
     Sweep("pro11", lambda c: f"decorated C4, one cut vertex, |V|<={c[_MV]}: never critical",
-          _specs(lambda v: _gq1_specs(4, v)), _never_critical, {_MV: 12}),
+          _specs(lambda v: _gq1_specs(4, v)), _never_critical, {_MV: 16}),
     Sweep("pro12", lambda c: f"decorated C4, two cut vertices, |V|<={c[_MV]}: formula vs solver",
           _specs(lambda v: _gq2_specs(4, v)), _formula, {_MV: 14}),
     Sweep("pro13", lambda c: f"decorated C4, two cut vertices, |V|<={c[_MV]}: criticality clauses",
           _specs(lambda v: _gq2_specs(4, v)), _closed_critical, {_MV: 12}),
     Sweep("pro15", lambda c: f"decorated C4, leaves only, k1+k2>=3, |V|<={c[_MV]}: never critical",
-          _c4_pair_specs(lambda k, m: m == 0 and k >= 3), _never_critical, {_MV: 12}),
+          _c4_pair_specs(lambda k, m: m == 0 and k >= 3), _never_critical, {_MV: 16}),
     Sweep("pro16", lambda c: f"decorated C4, mixed pendants, |V|<={c[_MV]}: never critical",
           _c4_pair_specs(lambda k, m: m >= 1 and k >= 1), _never_critical, {_MV: 12}),
     Sweep("lemma4", lambda c: f"connected graphs n<={c[_MV]}: chi <= |V|-alpha+1, equality at diameter 2",

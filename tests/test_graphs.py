@@ -26,6 +26,7 @@ from packcrit.graphs import (
     is_tree,
     leaves,
     radius,
+    twin_classes,
     universal_vertices,
 )
 from oracles import brute_bridges, brute_cut_vertices
@@ -159,6 +160,19 @@ class TestDeletions:
         assert all(g.degree(v) == 2 for v in range(5))
         assert relabel == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
 
+    def test_edge_deletion_is_rebuilt_graph(self, all_graphs_upto_6):
+        # Built from the original graph's rows, edge set and bitmasks, the
+        # result is the graph a fresh edge list gives, whether or not the
+        # original's bitmasks were cached.
+        for g in all_graphs_upto_6:
+            for e in g.edges():
+                want = Graph(g.n, [f for f in g.edges() if f != e])
+                for got in (delete_edge(Graph(g.n, g.edges()), e), delete_edge(g, e)):
+                    assert got == want and hash(got) == hash(want), (g, e)
+                    assert [got.neighbors(v) for v in got.vertices()] == [want.neighbors(v) for v in want.vertices()]
+                    assert got.adjacency_bits() == want.adjacency_bits(), (g, e)
+                assert delete_edge(g, e[::-1]) == want
+
     def test_missing_edge_rejected(self):
         with pytest.raises(GraphInputError):
             delete_edge(C4, (0, 2))
@@ -287,3 +301,23 @@ class TestVertexRoles:
         assert leaves(K13) == {1, 2, 3}
         assert leaves(C5) == frozenset()
         assert leaves(P4) == {0, 3}
+
+
+class TestTwinClasses:
+    def test_pairwise_definition(self, all_graphs_upto_6):
+        # u and v share a class exactly when N(u) = N(v) or N[u] = N[v], and
+        # each class is named by its first member.
+        for g in all_graphs_upto_6:
+            classes = twin_classes(g.adjacency_bits())
+            opened = [set(g.neighbors(v)) for v in g.vertices()]
+            closed = [opened[v] | {v} for v in g.vertices()]
+            for v in g.vertices():
+                twins = [u for u in g.vertices() if opened[u] == opened[v] or closed[u] == closed[v]]
+                assert [u for u in g.vertices() if classes[u] == classes[v]] == twins, (g, v)
+                assert classes[v] == twins[0], (g, v)
+
+    def test_pendants(self):
+        # Two leaves on one vertex are open twins, the outer vertices of a
+        # pendant triangle closed twins.
+        g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4), (0, 5)])
+        assert twin_classes(g.adjacency_bits()) == [0, 1, 1, 3, 3, 1]

@@ -144,6 +144,27 @@ class TestReductions:
         # every branch level used to recurse, so P2500 raised RecursionError
         assert alpha(path(2100)) == 1050
 
+    def test_leaf_chain_scans_once(self):
+        # Each leaf taken on P1000 used to rescan the degrees of the whole
+        # mask: about 250,000 adjacency reads.  The leaves that the removals
+        # leave behind are now followed from the removed vertex.
+        class Counted(tuple):
+            reads = 0
+
+            def __getitem__(self, v):
+                Counted.reads += 1
+                return tuple.__getitem__(self, v)
+
+        bits = Counted(path(1000).adjacency_bits())
+        assert independence._mis_size(bits, (1 << 1000) - 1, {}) == 500
+        assert Counted.reads < 5_000
+
+    def test_trees_match_brute_alpha(self):
+        # Trees reduce by leaf chains alone.
+        for n in range(1, 12):
+            for g in representatives("tree", n):
+                assert alpha(g) == brute_alpha(g), g
+
     def test_path_power_reduces_without_branching(self):
         # each end vertex of a path power is simplicial, so the whole solve
         # is one chain of reductions and memoises only the top mask

@@ -326,10 +326,34 @@ class TestRoomRefusals:
                 for comp in components(sub):
                     _same_search(induced_subgraph(sub, comp)[0], k)
 
+    def test_hub_graphs_match_reference(self, all_graphs_upto_6):
+        # Twin-rich: the hub is a closed twin of every other universal
+        # vertex, and the base's twins stay twins.
+        for base in all_graphs_upto_6:
+            g = verify._hub_plus(base)
+            for k in range(1, chi_rho(g).value + 1):
+                _same_search(g, k)
+
+    def test_c4_specs_match_reference(self):
+        # The pro13 specs to order 10, which hold the pro16 ones: pendant
+        # leaves are open twins and pendant triangles closed twins.  Each
+        # graph at every k up to its value, and every component of every
+        # single-edge deletion one color below it.
+        for spec in verify._gq2_specs(4, 10):
+            g = build(spec).graph
+            value = chi_rho(g).value
+            for k in range(1, value + 1):
+                _same_search(g, k)
+            for e in g.edges():
+                sub = delete_edge(g, e)
+                for comp in components(sub):
+                    _same_search(induced_subgraph(sub, comp)[0], value - 1)
+
     def test_teo1_node_count_pinned(self):
         # Every deletion up to the witness, none skipped: the unpruned search
-        # makes 718,650 nodes here, and a room bound without the
-        # min(spare, open) term still makes more than this.
+        # makes 718,650 nodes here, the room bound without twin floors
+        # 128,263, and twin floors with a room bound that lacks the
+        # min(spare, open) term still make more than this.
         def deletions_to_witness():
             for spec in verify._teo1_instances():
                 g = build(spec).graph
@@ -338,13 +362,14 @@ class TestRoomRefusals:
                     if packs_within(delete_edge(g, e), base - 1) is None:
                         break
 
-        assert _dfs_nodes(deletions_to_witness) == 128_263
+        assert _dfs_nodes(deletions_to_witness) == 33_009
 
     def test_teo1_sweep_node_count_pinned(self, monkeypatch):
         # The sweep skips a deletion in the orbit of one that lowered the
         # value, so its 13 critical graphs search 64 of their 183 edge
         # deletions (59 edge orbits; the first two deletions of a graph are
-        # always searched), and the nodes halve.
+        # always searched), and the nodes fall by more than half: 64,105
+        # without twin floors.
         calls = []
 
         def counted(G, k):
@@ -358,7 +383,7 @@ class TestRoomRefusals:
             nonlocal report
             report = verify.run_sweep("teo1")
 
-        assert (_dfs_nodes(sweep), len(calls)) == (64_105, 64)
+        assert (_dfs_nodes(sweep), len(calls)) == (14_843, 64)
         assert report.ok and report.total == 13
 
 

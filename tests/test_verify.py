@@ -90,19 +90,21 @@ def _records_digest(records: list[dict]) -> str:
 
 # theorem -> (size overrides, record count, SHA-256 of the sorted records
 # without micros).  Every sweep runs at its default size except where that
-# takes more than about a second; teo1 has no size to lower.
+# takes more than about a second; teo1 has no size to lower.  A sweep whose
+# default rose keeps its pin at the old size here and is pinned at the new
+# default in RAISED_PINS.
 SWEEP_PINS = {
     "pro4": ({}, 29, "9ebb3e4c53d7e958ad76ace2f1efff3814c7c01f58411f0349d8f8bf2a71f4b7"),
-    "pro5": ({}, 16, "74cc1b5e42c66ff4c5ab15d23a640b6e07ba5afea956654ba75ca4bf395ace6e"),
+    "pro5": ({"max_vertices": 12}, 16, "74cc1b5e42c66ff4c5ab15d23a640b6e07ba5afea956654ba75ca4bf395ace6e"),
     "pro6": ({}, 1, "65846c4512d6ad972aada5a118d48de0dda72a6054c8357d2790d904d5eecfc9"),
-    "pro7": ({}, 19, "09f8811b392c75fb4e11644d36b22cb08d3eff9d244f02c0d314e4e175d3146c"),
+    "pro7": ({"max_vertices": 12}, 19, "09f8811b392c75fb4e11644d36b22cb08d3eff9d244f02c0d314e4e175d3146c"),
     "pro8": ({}, 186, "e123409ee5999f60534ae779abca6131ec5e2ee85036965c73c6e848ac408e15"),
     "pro9": ({"max_vertices": 10}, 27, "3214d4e516e05258c3e069eb4299ed9939e19a186d6faea6c44b9c02cc3c6e5d"),
     "pro10": ({}, 35, "0ed499021bbabfd062f990398fe126b0f0075ba6967698ff28d58ec2ad2c235d"),
-    "pro11": ({}, 24, "801bada26a83ba42bf0ebda82263e86fd45a6cc6ac21425bc1973754c0334ec1"),
+    "pro11": ({"max_vertices": 12}, 24, "801bada26a83ba42bf0ebda82263e86fd45a6cc6ac21425bc1973754c0334ec1"),
     "pro12": ({}, 265, "6a039c76b9e109714105d737707e2badff74d01be79e2b25bbb3878d920429c2"),
     "pro13": ({"max_vertices": 10}, 49, "362654d78cc10b311378059fa36749069aeb413e836f73233113389e593eb754"),
-    "pro15": ({}, 27, "ff4441024a5cd5424c082fcc57dfd75c876015c98e717329ddda88cb6a2a1cf0"),
+    "pro15": ({"max_vertices": 12}, 27, "ff4441024a5cd5424c082fcc57dfd75c876015c98e717329ddda88cb6a2a1cf0"),
     "pro16": ({"max_vertices": 10}, 31, "759232e525c19299678b5920cba326d9307620bf3218aed568017361c4da8cf8"),
     "lemma4": ({"max_vertices": 6}, 143, "336ccc64f87d6d052c81ba6249caea24d999459ef338bc54837a4cb5bddfa510"),
     "lemma5": ({}, 5, "6d416a2ca4d923597cf3ba54618f77f195cc3e7484f3388d5090d050bbbff552"),
@@ -123,6 +125,15 @@ SWEEP_PINS = {
     "lem-mainblock": ({"max_vertices": 8}, 194, "462f976672dd64fcd91c6c9f0df1af20265a59791d9d1bea9bb92d017e7b709a"),
     "pro2": ({"max_vertices": 8}, 2, "29da3c74cced081fb32f97aefde44b86294089308fd5172877ff4215b7883b28"),
     "pro3": ({}, 16, "118f708ae3841dacc626d11386dccfb13f35cfe41f01787590c15b993a195be5"),
+}
+
+# theorem -> (record count, digest) at the default size, for the sweeps
+# whose default rose from the size SWEEP_PINS states.
+RAISED_PINS = {
+    "pro5": (36, "0926ca767b359342e8757e3d1587d4e44c736e2722950ce9ae1066b58175447c"),
+    "pro7": (41, "7d48eb3a363f544b42d7cd0380f1dbe00d45964d8159a1e7b966fab697a3ea99"),
+    "pro11": (48, "c0e6d7d2698afe1bf1727dfd2c38e0e19913f5f2da095fde4b3bcb3523525c97"),
+    "pro15": (65, "9d9f97360072d56812b7d712a804b3474dea1293efbfa3cd3c8c09d87ade2d04"),
 }
 
 # A fixed graph6 corpus: every graph on at most 4 vertices, samples of the
@@ -171,6 +182,12 @@ def test_records_pinned(theorem, corpus):
         sizes, *want = SWEEP_PINS[theorem]
         rep = run_sweep(theorem, **sizes)
     assert (rep.total, _records_digest(rep.records)) == tuple(want)
+
+
+@pytest.mark.parametrize("theorem", list(RAISED_PINS))
+def test_raised_defaults_pinned(theorem):
+    rep = run_sweep(theorem)
+    assert (rep.total, _records_digest(rep.records)) == RAISED_PINS[theorem]
 
 
 RECORD_KEYS = {"theorem", "instance_g6", "spec", "predicted", "oracle", "agree", "micros"}
