@@ -143,59 +143,130 @@ def _metrics(g: Graph) -> _Metrics:
 # -- canonical certificates ---------------------------------------------------
 
 
-def _refine(nbrs: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
-    """Refine a dense coloring (colors 0..k-1) until it is equitable.
+# Each neighbor bitmask the certificate search has met, with its members in
+# increasing order: a candidate's rows are mostly its parent's, so reading
+# them here replaces a scan of every vertex pair per search.  Cleared when
+# it reaches ``_MEMBERS_CAP`` entries, which keeps it small on long runs.
+_MEMBERS: dict[int, tuple[int, ...]] = {}
+_MEMBERS_CAP = 1 << 16
 
-    Each round walks the cells in color order.  A singleton cell takes the
-    next color as it is; a larger cell splits by the sorted colors of its
-    members' neighbors, in increasing order of that key.  The colors stay
-    dense and ordered, so the rounds stop at the first one that splits no
-    cell."""
-    n = len(colors)
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The vertices in ``mask``, in increasing order."""
+    members = _MEMBERS.get(mask)
+    if members is None:
+        if len(_MEMBERS) >= _MEMBERS_CAP:
+            _MEMBERS.clear()
+        members = _MEMBERS[mask] = tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    return members
+
+
+# An ordered partition of the vertices: ``cells[s]`` is the cell that starts
+# at position s, its members in increasing order, and None at a position
+# inside a cell; ``color[v]`` is the start of v's cell.  Cells are
+# contiguous, so ordering vertices by color orders them by cell, and a cell
+# that splits leaves every other cell's color as it was.
+_Cells = list[Optional[list[int]]]
+
+
+def _refine(nbrs: tuple[tuple[int, ...], ...], cells: _Cells, color: list[int], starts: Iterable[int]) -> None:
+    """Refine the ordered partition ``cells``/``color`` in place until it is
+    equitable, examining in the first round only the cells that start at
+    ``starts``.
+
+    Each round splits every cell at once by the sorted colors of its
+    members' neighbors, the parts in increasing order of that key, and the
+    rounds stop at the first one that splits no cell.  A split marks every
+    part but its largest (the first such, in a tie), and the next round
+    examines only the cells with a member next to a marked vertex.  That
+    skips no split.  The members of a cell had one key in the round before,
+    so each has as many neighbors as the others in every cell that split
+    then.  A member of an unexamined cell has all of those neighbors in the
+    unmarked part, and they all take its color, so every member's key
+    changes in the same way and the cell stays whole.  The caller states
+    which cells the first round examines: every cell of a partition that
+    need not be equitable, or, right after a split of an equitable one
+    (``_split``, ``_individualize``), the cells next to a vertex it
+    marked."""
+    color_of = color.__getitem__
     while True:
-        cells: list[list[int]] = [[] for _ in range(n)]
-        for v, c in enumerate(colors):
-            cells[c].append(v)
-        new = [0] * n
-        nxt = 0
-        split = False
-        color_of = colors.__getitem__
-        for cell in cells:
-            if not cell:
-                break
-            if len(cell) == 1:
-                new[cell[0]] = nxt
-                nxt += 1
-                continue
-            keyed = sorted([(tuple(sorted(map(color_of, nbrs[v]))), v) for v in cell])
-            prev = keyed[0][0]
-            for sig, v in keyed:
-                if sig != prev:
-                    prev = sig
-                    nxt += 1
-                    split = True
-                new[v] = nxt
-            nxt += 1
-        if not split:
-            return new
-        colors = new
+        splits = []
+        for s in starts:
+            cell = cells[s]
+            if len(cell) > 1:
+                keys = [tuple(sorted(map(color_of, nbrs[v]))) for v in cell]
+                if keys.count(keys[0]) < len(keys):
+                    splits.append((s, sorted(zip(keys, cell))))
+        if not splits:
+            return
+        marked: list[int] = []
+        for s, keyed in splits:
+            marked += _split(cells, color, s, keyed)
+        starts = {color[w] for v in marked for w in nbrs[v]}
 
 
-def _search(G: Graph) -> tuple[int, list[list[int]]]:
+def _split(cells: _Cells, color: list[int], s: int, keyed: list[tuple[object, int]]) -> list[int]:
+    """Split the cell at ``s`` into the runs of equal key in ``keyed``, its
+    members as sorted (key, vertex) pairs, and return the vertices the split
+    marks: those of every part but the largest (the first such, in a tie)."""
+    parts: list[list[int]] = []
+    prev = None
+    for key, v in keyed:
+        if key != prev:
+            prev = key
+            part: list[int] = []
+            parts.append(part)
+        part.append(v)
+    largest = max(parts, key=len)
+    marked = []
+    for part in parts:
+        cells[s] = part
+        for v in part:
+            color[v] = s
+        s += len(part)
+        if part is not largest:
+            marked += part
+    return marked
+
+
+def _individualize(
+    nbrs: tuple[tuple[int, ...], ...], cells: _Cells, color: list[int], v: int
+) -> tuple[_Cells, list[int]]:
+    """A refined copy of the equitable partition ``cells``/``color`` in which
+    ``v`` is split off at the front of its cell.  That split marks ``v``
+    alone, so the first round examines only the cells next to ``v`` (see
+    ``_refine``)."""
+    s = color[v]
+    cells = cells[:]
+    color = color[:]
+    rest = [u for u in cells[s] if u != v]
+    cells[s] = [v]
+    cells[s + 1] = rest
+    for u in rest:
+        color[u] = s + 1
+    _refine(nbrs, cells, color, {color[w] for w in nbrs[v]})
+    return cells, color
+
+
+def _search(G: Graph, twin_class: Optional[list[int]] = None) -> tuple[int, list[list[int]]]:
     """The individualization-refinement search behind ``canonical_cert``:
     the minimum adjacency code over the discrete leaves, and permutations
     (``perm[v]`` is the image of ``v``) that generate Aut(G).  See
     ``_search_bits``."""
-    return _search_bits(G.adjacency_bits())
+    return _search_bits(G.adjacency_bits(), twin_class)
 
 
-def _search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+def _search_bits(adj: tuple[int, ...], twin_class: Optional[list[int]] = None) -> tuple[int, list[list[int]]]:
     """``_search`` on the graph whose vertex v has neighbor bitmask
-    ``adj[v]``.
+    ``adj[v]``; ``twin_class``, when given, is ``twin_classes(adj)``.
 
-    Refine the all-equal coloring to a stable partition, split the first
-    non-singleton cell on every member, and read each discrete leaf's
-    adjacency code.  Two kinds of generator come out of the search.  A leaf
+    Split the vertices by degree, refine that to an equitable partition
+    (``_refine``), split the first non-singleton cell on every member in
+    increasing order (``_individualize``), and read each discrete leaf's
+    adjacency code: the upper triangle of the relabelled adjacency matrix,
+    row by row.  A leaf's rows are built with the positions reversed, one
+    bit per neighbor, so each row's part above the diagonal is a mask of
+    its low bits.  Two kinds of generator come out of the search.  A leaf
     whose code equals the best leaf's gives the automorphism between the
     two labelings.  A twin (a vertex in the ``twin_classes`` class of a
     member already split on) is not split on, because the transposition
@@ -205,27 +276,33 @@ def _search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
     transpositions move that leaf into the searched tree, where its code
     equals the best and was recorded, so the returned permutations generate
     the whole group.
+
+    ``_refine`` skips only cells that cannot split, so every node holds
+    the partition that refining every cell in every round gives, and the
+    leaves, their order, the certificate and the generators are those of
+    that plain search (``tests/oracles.py::reference_search_bits``).
     """
     n = len(adj)
     if n <= 1:
         return 0, []
-    nbrs = tuple(tuple(w for w in range(n) if a >> w & 1) for a in adj)
-    twin_class = twin_classes(adj)
+    nbrs = tuple(map(_members, adj))
+    if twin_class is None:
+        twin_class = twin_classes(adj)
+    # the low-bit mask of each row's part above the diagonal
+    above = [(1 << (n - 1 - p)) - 1 for p in range(n)]
     best: Optional[int] = None
     best_inv: list[int] = []
     gens: list[list[int]] = []
     swapped: set[tuple[int, int]] = set()  # twin transpositions already in gens
 
-    def leaf(colors: list[int]) -> None:
+    def leaf(cells: _Cells, color: list[int]) -> None:
         nonlocal best, best_inv
-        inv = [0] * n
-        for v, c in enumerate(colors):
-            inv[c] = v
+        inv = [cell[0] for cell in cells]
+        rev = [1 << (n - 1 - p) for p in color]
+        rev_of = rev.__getitem__
         bits = 0
-        for p in range(n):
-            ap = adj[inv[p]]
-            for q in range(p + 1, n):
-                bits = (bits << 1) | ((ap >> inv[q]) & 1)
+        for p, v in enumerate(inv):
+            bits = (bits << (n - 1 - p)) | (sum(map(rev_of, nbrs[v])) & above[p])
         if best is None or bits < best:
             best, best_inv = bits, inv
         elif bits == best:
@@ -234,15 +311,17 @@ def _search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
                 perm[v] = inv[p]
             gens.append(perm)
 
-    def search(colors: list[int]) -> None:
-        if max(colors) == n - 1:
-            leaf(colors)
+    def search(cells: _Cells, color: list[int], s: int) -> None:
+        # cells before s are singletons: the parent's first non-singleton
+        # cell started there, and refinement only splits cells
+        while s < n:
+            cell = cells[s]
+            if len(cell) > 1:
+                break
+            s += 1
+        else:
+            leaf(cells, color)
             return
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        cell_color = min(c for c, k in counts.items() if k >= 2)
-        cell = [v for v in range(n) if colors[v] == cell_color]
         split_on: dict[int, int] = {}  # twin class -> its member split on
         for v in cell:
             twin = split_on.get(twin_class[v])
@@ -254,12 +333,15 @@ def _search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
                     gens.append(swap)
                 continue
             split_on[twin_class[v]] = v
-            # v alone keeps the cell's color; the rest of the cell and every
-            # later cell move up one, so the coloring stays dense
-            search(_refine(nbrs, [c + (c > cell_color or (c == cell_color and u != v))
-                                  for u, c in enumerate(colors)]))
+            search(*_individualize(nbrs, cells, color, v), s)
 
-    search(_refine(nbrs, [0] * n))
+    # The first round on the one-cell partition splits it by degree: every
+    # key is a run of zeros, ordered by its length.
+    cells: _Cells = [None] * n
+    color = [0] * n
+    marked = _split(cells, color, 0, sorted(zip(map(len, nbrs), range(n))))
+    _refine(nbrs, cells, color, {color[w] for v in marked for w in nbrs[v]})
+    search(cells, color, 0)
     assert best is not None
     return best, gens
 

@@ -33,7 +33,7 @@ from .criticality import is_edge_critical
 from .enumeration import EnumerationFilter, enumerate_graphs
 from .errors import CharacterizationError, PreconditionError
 from .families import FamilySpec, Pair, build, closed_form_chi_rho, closed_form_critical
-from .graphio import emit_graph6, parse_graph6
+from .graphio import emit_graph6
 from .graphs import (
     Graph,
     block_decomposition,
@@ -106,7 +106,8 @@ class VerificationReport:
 
 
 def evaluate_payload(theorem: str, payload: dict) -> dict:
-    """Build one instance and evaluate it; ``micros`` covers both.
+    """Build one instance and evaluate it; ``micros`` covers both.  A spec
+    payload is built from its spec; a graph payload carries its graph.
 
     A CharacterizationError or PreconditionError does not abort the sweep:
     the instance is recorded as a disagreement whose ``error`` field holds
@@ -124,7 +125,7 @@ def evaluate_payload(theorem: str, payload: dict) -> dict:
             G = build(spec).graph
         else:
             spec = None
-            G = parse_graph6(payload["g6"])
+            G = payload["graph"]
         predicted, oracle = sweep.evaluate(G, spec)
     except (CharacterizationError, PreconditionError) as exc:
         predicted = oracle = None
@@ -132,7 +133,7 @@ def evaluate_payload(theorem: str, payload: dict) -> dict:
     micros = int((time.perf_counter() - t0) * 1e6)
     record = {
         "theorem": theorem,
-        "instance_g6": emit_graph6(G) if G is not None else payload.get("g6", ""),
+        "instance_g6": emit_graph6(G) if G is not None else "",
         "spec": payload.get("spec"),
         "predicted": predicted,
         "oracle": oracle,
@@ -211,7 +212,7 @@ def _class(extra: Optional[Callable[[Graph], bool]] = None, **filter_args):
             graphs = enumerate_graphs(filt)
         else:
             graphs = (g for g in cfg["corpus"] if filt.matches(g))
-        return [{"g6": emit_graph6(g)} for g in graphs if extra is None or extra(g)]
+        return [{"graph": g} for g in graphs if extra is None or extra(g)]
 
     return payloads
 
@@ -230,7 +231,7 @@ def _hub_payloads(cfg: dict) -> list[dict]:
     else:
         bases = enumerate_graphs(EnumerationFilter(max_n=cfg["base_max"]))
         graphs = [_hub_plus(b) for b in bases]
-    return [{"g6": emit_graph6(g)} for g in graphs]
+    return [{"graph": g} for g in graphs]
 
 
 def _lem_rad3_payloads(cfg: dict) -> list[dict]:
@@ -239,7 +240,10 @@ def _lem_rad3_payloads(cfg: dict) -> list[dict]:
         EnumerationFilter(max_n=min(7, cfg["max_vertices"]), min_n=4, connected=True)
     )
     graphs.extend(g for g in small if radius(g) >= 3 and is_alpha_critical(g).critical)
-    return [{"g6": key} for key in dict.fromkeys(emit_graph6(g) for g in graphs)]
+    unique: dict[str, Graph] = {}  # graph6 -> the first graph with it
+    for g in graphs:
+        unique.setdefault(emit_graph6(g), g)
+    return [{"graph": g} for g in unique.values()]
 
 
 def _decorations(q: int, budget: int) -> Iterator[tuple[Pair, ...]]:

@@ -12,7 +12,14 @@ from math import factorial, inf
 from typing import NamedTuple, Optional
 
 from packcrit.enumeration import canonical_cert
-from packcrit.graphs import DistanceMatrix, Graph, all_pairs_distances, delete_edge, delete_vertex
+from packcrit.graphs import (
+    DistanceMatrix,
+    Graph,
+    all_pairs_distances,
+    delete_edge,
+    delete_vertex,
+    twin_classes,
+)
 from packcrit.independence import mis_size_bits
 from packcrit.packing import chi_rho, packs_within
 
@@ -360,6 +367,125 @@ def reference_refine(nbrs: tuple[tuple[int, ...], ...], colors: list[int]) -> li
         if new == colors:
             return colors
         colors = new
+
+
+# -- reference certificate search ---------------------------------------------
+# The certificate search with a refinement that keys every cell in every
+# round; ``enumeration._search_bits``, which keys only the cells a split can
+# reach, must return the same certificate and the same generators, in order.
+
+
+def reference_cell_refine(nbrs: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
+    """Refine a dense coloring (colors 0..k-1) until it is equitable.
+
+    Each round walks the cells in color order.  A singleton cell takes the
+    next color as it is; a larger cell splits by the sorted colors of its
+    members' neighbors, in increasing order of that key.  The colors stay
+    dense and ordered, so the rounds stop at the first one that splits no
+    cell."""
+    n = len(colors)
+    while True:
+        cells: list[list[int]] = [[] for _ in range(n)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        new = [0] * n
+        nxt = 0
+        split = False
+        color_of = colors.__getitem__
+        for cell in cells:
+            if not cell:
+                break
+            if len(cell) == 1:
+                new[cell[0]] = nxt
+                nxt += 1
+                continue
+            keyed = sorted([(tuple(sorted(map(color_of, nbrs[v]))), v) for v in cell])
+            prev = keyed[0][0]
+            for sig, v in keyed:
+                if sig != prev:
+                    prev = sig
+                    nxt += 1
+                    split = True
+                new[v] = nxt
+            nxt += 1
+        if not split:
+            return new
+        colors = new
+
+
+def reference_search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+    """``_search`` on the graph whose vertex v has neighbor bitmask
+    ``adj[v]``.
+
+    Refine the all-equal coloring to a stable partition, split the first
+    non-singleton cell on every member, and read each discrete leaf's
+    adjacency code.  Two kinds of generator come out of the search.  A leaf
+    whose code equals the best leaf's gives the automorphism between the
+    two labelings.  A twin (a vertex in the ``twin_classes`` class of a
+    member already split on) is not split on, because the transposition
+    of the two twins is an automorphism that fixes the current node; that
+    transposition is returned, once however many nodes skip it.  Any
+    automorphism maps the best leaf to a leaf of the unskipped tree, twin
+    transpositions move that leaf into the searched tree, where its code
+    equals the best and was recorded, so the returned permutations generate
+    the whole group.
+    """
+    n = len(adj)
+    if n <= 1:
+        return 0, []
+    nbrs = tuple(tuple(w for w in range(n) if a >> w & 1) for a in adj)
+    twin_class = twin_classes(adj)
+    best: Optional[int] = None
+    best_inv: list[int] = []
+    gens: list[list[int]] = []
+    swapped: set[tuple[int, int]] = set()  # twin transpositions already in gens
+
+    def leaf(colors: list[int]) -> None:
+        nonlocal best, best_inv
+        inv = [0] * n
+        for v, c in enumerate(colors):
+            inv[c] = v
+        bits = 0
+        for p in range(n):
+            ap = adj[inv[p]]
+            for q in range(p + 1, n):
+                bits = (bits << 1) | ((ap >> inv[q]) & 1)
+        if best is None or bits < best:
+            best, best_inv = bits, inv
+        elif bits == best:
+            perm = [0] * n
+            for p, v in enumerate(best_inv):
+                perm[v] = inv[p]
+            gens.append(perm)
+
+    def search(colors: list[int]) -> None:
+        if max(colors) == n - 1:
+            leaf(colors)
+            return
+        counts: dict[int, int] = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        cell_color = min(c for c, k in counts.items() if k >= 2)
+        cell = [v for v in range(n) if colors[v] == cell_color]
+        split_on: dict[int, int] = {}  # twin class -> its member split on
+        for v in cell:
+            twin = split_on.get(twin_class[v])
+            if twin is not None:
+                if (twin, v) not in swapped:
+                    swapped.add((twin, v))
+                    swap = list(range(n))
+                    swap[v], swap[twin] = twin, v
+                    gens.append(swap)
+                continue
+            split_on[twin_class[v]] = v
+            # v alone keeps the cell's color; the rest of the cell and every
+            # later cell move up one, so the coloring stays dense
+            search(reference_cell_refine(nbrs, [c + (c > cell_color or (c == cell_color and u != v))
+                                                for u, c in enumerate(colors)]))
+
+    search(reference_cell_refine(nbrs, [0] * n))
+    assert best is not None
+    return best, gens
 
 
 # -- brute-force automorphisms -------------------------------------------------

@@ -13,23 +13,28 @@ from packcrit.enumeration import (
     EnumerationFilter,
     _graph,
     _grow,
+    _individualize,
     _orbit_firsts,
     _refine,
     _search,
+    _search_bits,
     canonical_cert,
     enumerate_graphs,
     representatives,
 )
 from packcrit.errors import CapExceededError
+from packcrit.families import build, parse_spec
 from packcrit.graphio import emit_graph6
-from packcrit.graphs import Graph, is_block_graph, is_cactus, is_connected, is_tree
+from packcrit.graphs import Graph, is_block_graph, is_cactus, is_connected, is_tree, twin_classes
 from packcrit.iso import is_isomorphic
+from packcrit.verify import THEOREMS
 from oracles import (
     brute_automorphisms,
     cacti_by_block_attachment,
     connected_counts_from_all,
     count_unlabeled_graphs,
     reference_refine,
+    reference_search_bits,
 )
 
 # Connected-class counts for n = 3..7, frozen from the Burnside/Euler oracle
@@ -313,6 +318,42 @@ def test_filter_metrics_computed_once_per_representative(monkeypatch):
     assert first and second
 
 
+def _partition(colors: list[int]) -> tuple[list, list[int]]:
+    """The ordered partition of a dense coloring, as ``_refine`` takes it:
+    the cell starting at each position (None inside a cell) and each
+    vertex's cell start."""
+    n = len(colors)
+    cells: list = [None] * n
+    color = [0] * n
+    s = 0
+    for c in range(max(colors) + 1):
+        cell = [v for v in range(n) if colors[v] == c]
+        cells[s] = cell
+        for v in cell:
+            color[v] = s
+        s += len(cell)
+    return cells, color
+
+
+def _dense(color: list[int]) -> list[int]:
+    """The dense coloring of a partition given by cell starts."""
+    rank = {s: i for i, s in enumerate(sorted(set(color)))}
+    return [rank[s] for s in color]
+
+
+def _refine_dense(nbrs, colors: list[int]) -> list[int]:
+    """``_refine`` on a dense coloring that need not be equitable, so every
+    cell is examined in the first round."""
+    cells, color = _partition(colors)
+    _refine(nbrs, cells, color, set(color))
+    return _dense(color)
+
+
+def _individualized(colors: list[int], v: int) -> list[int]:
+    """v split off at the front of its cell in a dense coloring."""
+    return [c + (c > colors[v] or (c == colors[v] and u != v)) for u, c in enumerate(colors)]
+
+
 class TestRefine:
     def test_matches_global_sort_reference(self, all_graphs_upto_6):
         for g in all_graphs_upto_6:
@@ -323,12 +364,70 @@ class TestRefine:
             starts += [[int(u != v) for u in range(n)] for v in range(n)]
             # v individualized inside its non-singleton cell of the stable
             # coloring, as the certificate search does
-            starts += [
-                [c + (c > stable[v] or (c == stable[v] and u != v)) for u, c in enumerate(stable)]
-                for v in range(n) if stable.count(stable[v]) > 1
-            ]
+            starts += [_individualized(stable, v) for v in range(n) if stable.count(stable[v]) > 1]
             for colors in starts:
-                assert _refine(nbrs, list(colors)) == reference_refine(nbrs, list(colors)), (emit_graph6(g), colors)
+                assert _refine_dense(nbrs, list(colors)) == reference_refine(nbrs, list(colors)), (
+                    emit_graph6(g), colors)
+
+    def test_individualized_twice_matches_reference(self, all_graphs_upto_6):
+        # Below the first level the first round examines only the cells
+        # next to the individualized vertex, and the cells a round examines
+        # depend on what the round before split: both differ from the root.
+        graphs = list(all_graphs_upto_6) + list(representatives("cactus", 8))
+        for g in graphs:
+            n = g.n
+            nbrs = tuple(g.neighbors(v) for v in range(n))
+            stable = reference_refine(nbrs, [0] * n)
+            cells, color = _partition(stable)
+            for v in range(n):
+                if stable.count(stable[v]) == 1:
+                    continue
+                first = reference_refine(nbrs, _individualized(stable, v))
+                child = _individualize(nbrs, cells, color, v)
+                assert _dense(child[1]) == first, (emit_graph6(g), v)
+                for w in range(n):
+                    if first.count(first[w]) == 1:
+                        continue
+                    second = reference_refine(nbrs, _individualized(first, w))
+                    assert _dense(_individualize(nbrs, *child, w)[1]) == second, (emit_graph6(g), v, w)
+            assert _dense(color) == stable  # the parent partition is copied, not changed
+
+
+def _certified(monkeypatch, structure: str, n: int) -> list[tuple[int, ...]]:
+    """The adjacency bitmasks of every candidate ``representatives`` certifies
+    while it builds the levels of ``structure`` up to order n from scratch."""
+    seen = []
+
+    def recording(adj, twin_class=None):
+        seen.append(adj)
+        return _search_bits(adj, twin_class)
+
+    monkeypatch.setattr(enumeration, "_REPS_CACHE", {})
+    monkeypatch.setattr(enumeration, "_search_bits", recording)
+    representatives(structure, n)
+    return seen
+
+
+class TestSearchMatchesReference:
+    """``_search_bits`` returns the plain search's certificate and
+    generators, in the same order, on every input below."""
+
+    @pytest.mark.parametrize("structure,n", [("cactus", 9), ("all", 6), ("tree", 10), ("block-graph", 8)])
+    def test_every_certified_candidate(self, monkeypatch, structure, n):
+        candidates = _certified(monkeypatch, structure, n)
+        assert candidates
+        for adj in candidates:
+            assert _search_bits(adj) == reference_search_bits(adj), adj
+
+    @pytest.mark.parametrize("theorem", ["teo1", "pro13"])
+    def test_family_graphs(self, theorem):
+        # criticality searches these graphs, passing their twin classes
+        sweep = THEOREMS[theorem]
+        for payload in sweep.payloads(dict(sweep.defaults, corpus=None)):
+            adj = build(parse_spec(payload["spec"])).graph.adjacency_bits()
+            expected = reference_search_bits(adj)
+            assert _search_bits(adj) == expected, payload["spec"]
+            assert _search_bits(adj, twin_classes(adj)) == expected, payload["spec"]
 
 
 # (count, SHA-256) over the ordered lines "<graph6> <canonical_cert>" of
@@ -338,6 +437,8 @@ class TestRefine:
 STREAM_DIGESTS = {
     ("cactus", 10): (2866, "cce5f695504aef70c44a3af20da264065c2de6c8c2b39bc449b6ea39f6e6af42"),
     ("all", 7): (1252, "b6b45b7d823e410b481a3f4a2b1c8cb2244fd575f45fdca13884405da206ab1b"),
+    ("tree", 11): (436, "a30859a08d111d360796071ff3d6f74692c77c14df8663b7760b7f5b558b443c"),
+    ("block-graph", 9): (759, "efb68708778b2630e9941538a3bd83e014dec19183424c969f798e8afc877c2e"),
 }
 
 

@@ -10,7 +10,8 @@ import os
 import pytest
 
 from packcrit.errors import CharacterizationError, PreconditionError
-from packcrit.graphio import parse_graph6
+from packcrit.graphio import emit_graph6, parse_graph6
+from packcrit.graphs import Graph
 from packcrit.verify import THEOREMS, _decorations, run_sweep
 
 ALL_IDS = [
@@ -254,3 +255,18 @@ def test_workers_are_spawned(monkeypatch):
     rep = run_sweep("lemma1", jobs=2)
     assert rep.total == 10 and rep.ok
     assert started == ["spawn"]
+
+
+def test_graph_payloads_cross_to_workers(monkeypatch):
+    # Class sources hand over their graphs as they are, with no graph6
+    # round trip; lem-rad3 still keeps one graph per graph6.  Spawned
+    # workers unpickle the graphs and write the same records, in order.
+    sweep = THEOREMS["lem-rad3"]
+    payloads = sweep.payloads(dict(sweep.defaults, corpus=None))
+    assert payloads and all(isinstance(p["graph"], Graph) for p in payloads)
+    assert len({emit_graph6(p["graph"]) for p in payloads}) == len(payloads)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one, two = (run_sweep("lem-rad3", jobs=jobs).records for jobs in (1, 2))
+    for rec in one + two:
+        del rec["micros"]
+    assert one == two
