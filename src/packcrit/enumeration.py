@@ -443,9 +443,15 @@ def _grow(parent: Graph, mask: int) -> tuple[int, ...]:
 
 
 def _graph(adj: tuple[int, ...]) -> Graph:
-    """The graph whose vertex v has neighbor bitmask ``adj[v]``."""
-    n = len(adj)
-    return Graph(n, [(u, w) for u, a in enumerate(adj) for w in range(u + 1, n) if a >> w & 1])
+    """The graph whose vertex v has neighbor bitmask ``adj[v]``, built from
+    ``adj`` and the ``_members`` memo rather than a re-validated edge list."""
+    G = Graph.__new__(Graph)
+    G.n = len(adj)
+    G._adj = tuple(map(_members, adj))
+    G._edges = frozenset((u, w) for u, nbrs in enumerate(G._adj) for w in nbrs if u < w)
+    G._hash = hash((G.n, G._edges))
+    G._bits = adj
+    return G
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Immutable simple-graph core: construction, metrics, and block structure.
 
 Vertices are dense integers ``0..n-1``.  All operations are pure functions;
-``Graph`` and ``DistanceMatrix`` never mutate after construction, so values
-can be shared freely across threads.
+``Graph`` and ``DistanceMatrix`` never mutate after construction.  Distance
+metrics grow closed-ball bitmasks one distance at a time (``grow_balls``),
+as the packing solver does; ``all_pairs_distances`` is a separate BFS table
+for the checks that must not share that route.
 """
 
 from __future__ import annotations
@@ -142,15 +144,34 @@ def all_pairs_distances(G: Graph) -> DistanceMatrix:
 # -- metrics ---------------------------------------------------------------
 
 
+def grow_balls(G: Graph, balls: list[int]) -> list[int]:
+    """G's closed balls one step wider: each ball joined with its neighbours'."""
+    grown = []
+    for b, vn in zip(balls, G._adj):
+        for w in vn:
+            b |= balls[w]
+        grown.append(b)
+    return grown
+
+
 def eccentricities(G: Graph) -> tuple[int, ...]:
-    """Eccentricity of every vertex, read from one distance table; requires
-    a connected, non-empty graph."""
+    """Eccentricity of every vertex of a connected, non-empty graph: the
+    first radius at which its closed ball (``grow_balls``) is full.  A round
+    that grows no ball while one is not full means G is disconnected."""
     if G.n == 0:
         raise DisconnectedGraphError("metric undefined on the empty graph")
-    eccs = tuple(max(row) for row in all_pairs_distances(G).rows)
-    if UNREACHABLE in eccs:
-        raise DisconnectedGraphError("metric undefined: graph is disconnected")
-    return eccs
+    full = (1 << G.n) - 1
+    balls = [1 << v for v in range(G.n)]
+    eccs = [0] * G.n
+    while balls.count(full) < G.n:
+        grown = grow_balls(G, balls)
+        if grown == balls:
+            raise DisconnectedGraphError("metric undefined: graph is disconnected")
+        for v, b in enumerate(balls):
+            if b != full:
+                eccs[v] += 1
+        balls = grown
+    return tuple(eccs)
 
 
 def radius(G: Graph) -> int:
@@ -274,8 +295,18 @@ def components(G: Graph) -> list[frozenset[int]]:
 
 
 def is_connected(G: Graph) -> bool:
-    """True when the graph has at most one component (vacuously for n=0)."""
-    return len(components(G)) <= 1
+    """True when the graph has at most one component (vacuously for n=0):
+    a flood over the adjacency bitmasks from vertex 0 reaches every vertex."""
+    if G.n <= 1:
+        return True
+    adj = G.adjacency_bits()
+    seen = todo = 1
+    while todo:
+        v = todo.bit_length() - 1
+        new = adj[v] & ~seen
+        seen |= new
+        todo = todo ^ (1 << v) | new
+    return seen == (1 << G.n) - 1
 
 
 # -- articulation structure -------------------------------------------------

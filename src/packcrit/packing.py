@@ -6,11 +6,10 @@ solver deepens k and searches with per-class capacity limits (the exact
 maximum i-packing sizes), distance-ball conflict masks, and
 interchangeable-high-color symmetry breaking.  A connected solve reads no
 distance table: the distance-<=i balls are bitmasks grown one distance at a
-time (the balls of radius i join the neighbours' balls of radius i - 1),
-and the first radius at which every ball is the whole graph is the
-diameter.  The ball masks and caps of color i are built only once k
-reaches i, so colors above the answer never pay for a maximum independent
-set, and a k whose caps sum below |V| is refused unsearched.  Inside the
+time (``graphs.grow_balls``), and the first radius at which every ball is
+the whole graph is the diameter.  The ball masks and caps of color i are
+built only once k reaches i, so colors above the answer never pay for a
+maximum independent set, and a k whose caps sum below |V| is skipped.  Inside the
 search a node is refused when its colors can no longer hold the uncolored
 vertices: a necessary condition for any completion, so the search still
 visits the surviving nodes in the same order and finds the same coloring.
@@ -44,6 +43,7 @@ from .graphs import (
     all_pairs_distances,
     components,
     diameter,
+    grow_balls,
     induced_subgraph,
     is_connected,
     twin_classes,
@@ -108,17 +108,6 @@ def verify_packing_coloring(G: Graph, coloring: PackingColoring) -> PackingCheck
     return PackingCheck(True, None)
 
 
-def _grow(nbrs: tuple[tuple[int, ...], ...], balls: list[int]) -> list[int]:
-    """The closed balls one step wider: each vertex's ball joined with its
-    neighbours' balls."""
-    grown = []
-    for b, vn in zip(balls, nbrs):
-        for w in vn:
-            b |= balls[w]
-        grown.append(b)
-    return grown
-
-
 def _open(balls: list[int]) -> list[int]:
     """Per-vertex bitmask of the other vertices in its closed ball."""
     return [b ^ (1 << v) for v, b in enumerate(balls)]
@@ -130,10 +119,9 @@ def max_i_packing(G: Graph, i: int) -> int:
         raise PreconditionError("i-packing size undefined on the empty graph")
     if i < 1:
         raise ValueError(f"packing index must be positive, got {i}")
-    nbrs = tuple(G.neighbors(v) for v in range(G.n))
     balls = [1 << v for v in range(G.n)]
     for _ in range(min(i, G.n - 1)):  # no ball grows past n - 1 steps
-        balls = _grow(nbrs, balls)
+        balls = grow_balls(G, balls)
     return mis_size_bits(_open(balls), (1 << G.n) - 1)
 
 
@@ -151,7 +139,7 @@ class _ClassCaps:
 
     def __init__(self, G: Graph):
         self.full = (1 << G.n) - 1
-        self._nbrs = tuple(G.neighbors(v) for v in range(G.n))
+        self._G = G
         self._balls = [1 << v for v in range(G.n)]  # radius len(masks) - 1
         self._d: Optional[int] = 0 if G.n == 1 else None
         self.masks: list[list[int]] = [[0] * G.n]
@@ -176,7 +164,7 @@ class _ClassCaps:
         colors 1..k hold at most: their exact caps below the diameter, one
         each from it on."""
         while self._d is None and len(self.masks) <= k:
-            balls = _grow(self._nbrs, self._balls)
+            balls = grow_balls(self._G, self._balls)
             if all(b == self.full for b in balls):
                 self._d = len(self.masks)
                 break

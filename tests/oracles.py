@@ -12,7 +12,9 @@ from math import factorial, inf
 from typing import NamedTuple, Optional
 
 from packcrit.enumeration import canonical_cert
+from packcrit.errors import DisconnectedGraphError
 from packcrit.graphs import (
+    UNREACHABLE,
     DistanceMatrix,
     Graph,
     all_pairs_distances,
@@ -84,6 +86,20 @@ def brute_all_mis(G: Graph) -> list[frozenset[int]]:
         if all(not G.has_edge(u, v) for u, v in combinations(combo, 2)):
             out.append(frozenset(combo))
     return out
+
+
+# -- reference metrics (the BFS eccentricities the ball growth replaced) ----------
+
+
+def reference_eccentricities(G: Graph) -> tuple[int, ...]:
+    """Eccentricity of every vertex, read from one distance table; requires
+    a connected, non-empty graph."""
+    if G.n == 0:
+        raise DisconnectedGraphError("metric undefined on the empty graph")
+    eccs = tuple(max(row) for row in all_pairs_distances(G).rows)
+    if UNREACHABLE in eccs:
+        raise DisconnectedGraphError("metric undefined: graph is disconnected")
+    return eccs
 
 
 # -- brute-force packing colorings ----------------------------------------------

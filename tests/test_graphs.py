@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from packcrit.enumeration import representatives
 from packcrit.errors import DisconnectedGraphError, GraphInputError
 from packcrit.graphs import (
     UNREACHABLE,
@@ -29,7 +30,7 @@ from packcrit.graphs import (
     twin_classes,
     universal_vertices,
 )
-from oracles import brute_bridges, brute_cut_vertices
+from oracles import brute_bridges, brute_cut_vertices, reference_eccentricities
 from strategies import graphs
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -142,6 +143,43 @@ class TestMetrics:
             return
         r, d = radius(g), diameter(g)
         assert r <= d <= 2 * r
+
+
+def _metric_inputs() -> list[Graph]:
+    """Every graph to order 7, cacti to 10, trees to 11, block graphs to 9,
+    seeded random graphs of order 0-14 (many disconnected), and the empty,
+    one-vertex and isolated-vertex cases."""
+    levels = [("all", 7), ("cactus", 10), ("tree", 11), ("block-graph", 9)]
+    out = [g for structure, top in levels for n in range(1, top + 1) for g in representatives(structure, n)]
+    rng = random.Random(2026)
+    for _ in range(1500):
+        n = rng.randrange(15)
+        p = rng.random()
+        out.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    out += [Graph(0), Graph(1), Graph(2), Graph(3, [(0, 1)]), Graph(5, [(1, 2), (2, 3), (3, 1)])]
+    return out
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+
+
+class TestBallMetrics:
+    """Eccentricities grown from bitmask balls, and connectivity from a
+    bitmask flood, against the BFS table and the component search."""
+
+    def test_eccentricities_match_bfs_reference(self):
+        inputs = _metric_inputs()
+        assert any(len(components(g)) > 1 for g in inputs)
+        for g in inputs:
+            assert _outcome(eccentricities, g) == _outcome(reference_eccentricities, g), g
+
+    def test_is_connected_matches_components(self):
+        for g in _metric_inputs():
+            assert is_connected(g) == (len(components(g)) <= 1), g
 
 
 class TestDeletions:
