@@ -107,18 +107,11 @@ class EnumerationFilter:
         member = _TABLE[self.structure].member
         if member is not None and not member(g):
             return False
-        return self._metrics_match(g)
+        return not self._reads_metrics or self._accepts(*_metrics(g))
 
     @property
     def _reads_metrics(self) -> bool:
         return self.connected is not None or self.radius is not None or self.diameter is not None
-
-    def _metrics_match(self, g: Graph) -> bool:
-        if not self._reads_metrics:
-            return True
-        if self.radius is None and self.diameter is None:
-            return self._accepts(is_connected(g), None, None)
-        return self._accepts(*_metrics(g))
 
     def _accepts(self, connected: bool, radius: Optional[int], diameter: Optional[int]) -> bool:
         """The connectivity / radius / diameter constraints, given a graph's
@@ -445,13 +438,7 @@ def _grow(parent: Graph, mask: int) -> tuple[int, ...]:
 def _graph(adj: tuple[int, ...]) -> Graph:
     """The graph whose vertex v has neighbor bitmask ``adj[v]``, built from
     ``adj`` and the ``_members`` memo rather than a re-validated edge list."""
-    G = Graph.__new__(Graph)
-    G.n = len(adj)
-    G._adj = tuple(map(_members, adj))
-    G._edges = frozenset((u, w) for u, nbrs in enumerate(G._adj) for w in nbrs if u < w)
-    G._hash = hash((G.n, G._edges))
-    G._bits = adj
-    return G
+    return Graph._from_rows(tuple(map(_members, adj)), adj)
 
 
 @dataclass(frozen=True)

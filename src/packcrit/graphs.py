@@ -1,7 +1,12 @@
 """Immutable simple-graph core: construction, metrics, and block structure.
 
 Vertices are dense integers ``0..n-1``.  All operations are pure functions;
-``Graph`` and ``DistanceMatrix`` never mutate after construction.  Distance
+``Graph`` and ``DistanceMatrix`` never mutate after construction.  A
+``Graph`` is its sorted neighbour rows; its bitmasks are built on first use
+unless they came with the rows.  ``Graph(n, edges)`` validates an edge list,
+and every graph derived from another (edge and vertex deletions, induced
+subgraphs, enumeration's representatives) is built from rows through
+``Graph._from_rows``, so no other module touches the storage.  Distance
 metrics grow closed-ball bitmasks one distance at a time (``grow_balls``),
 as the packing solver does; ``all_pairs_distances`` is a separate BFS table
 for the checks that must not share that route.
@@ -28,14 +33,16 @@ def _norm(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """Finite simple undirected graph on the vertex set ``{0, ..., n-1}``.
+    """Finite simple undirected graph on the vertex set ``{0, ..., n-1}``,
+    stored as its sorted neighbour rows; the neighbour bitmasks are built
+    from them on first use.
 
-    Equality and hashing are by exact labeled structure (vertex count plus
-    edge set), not by isomorphism.  Duplicate edges in the input collapse;
-    self-loops and out-of-range endpoints are rejected.
+    Equality and hashing are by exact labeled structure (the rows, whose
+    count is the vertex count), not by isomorphism.  Duplicate edges in the
+    input collapse; self-loops and out-of-range endpoints are rejected.
     """
 
-    __slots__ = ("n", "_adj", "_edges", "_hash", "_bits")
+    __slots__ = ("n", "_adj", "_bits")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -51,9 +58,18 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
-        self._edges = frozenset(_norm(u, v) for u in range(n) for v in adj[u] if u < v)
-        self._hash = hash((n, self._edges))
         self._bits: Optional[tuple[int, ...]] = None
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...], bits: Optional[tuple[int, ...]] = None) -> Graph:
+        """The graph with sorted neighbour rows ``rows`` (and, if given, the
+        matching bitmasks ``bits``), taken as they are: the route for graphs
+        derived from another, whose rows are valid by construction."""
+        G = cls.__new__(cls)
+        G.n = len(rows)
+        G._adj = rows
+        G._bits = bits
+        return G
 
     # -- basic accessors ---------------------------------------------------
 
@@ -64,15 +80,15 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm(u, v) in self._edges
+        return 0 <= u < self.n and v in self._adj[u]
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) with u < v, sorted."""
-        return sorted(self._edges)
+        return [(u, w) for u, nbrs in enumerate(self._adj) for w in nbrs if u < w]
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj)) // 2
 
     def vertices(self) -> range:
         return range(self.n)
@@ -84,17 +100,13 @@ class Graph:
         return self._bits
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._edges == other._edges
-        )
+        return isinstance(other, Graph) and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._adj)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={sorted(self._edges)})"
+        return f"Graph(n={self.n}, edges={self.edges()})"
 
 
 def build_graph(n: int, edges: Iterable[Edge] = ()) -> Graph:
@@ -221,27 +233,16 @@ def twin_classes(adj: Sequence[int]) -> list[int]:
 
 
 def delete_edge(G: Graph, e: Edge) -> Graph:
-    """G without the edge ``e``, built from G's own adjacency rows, edge set
-    and cached bitmasks rather than from a re-validated edge list."""
-    e = _norm(*e)
-    if e not in G._edges:
-        raise GraphInputError(f"edge {e!r} not in graph")
-    u, v = e
+    """G without the edge ``e``: G's rows with the two ends dropped from
+    each other's, built through ``Graph._from_rows``.  The bitmasks are
+    built only if read."""
+    u, v = _norm(*e)
+    if not G.has_edge(u, v):
+        raise GraphInputError(f"edge {(u, v)!r} not in graph")
     adj = list(G._adj)
     adj[u] = tuple(w for w in adj[u] if w != v)
     adj[v] = tuple(w for w in adj[v] if w != u)
-    H = Graph.__new__(Graph)
-    H.n = G.n
-    H._adj = tuple(adj)
-    H._edges = G._edges - {e}
-    H._hash = hash((H.n, H._edges))
-    H._bits = None
-    if G._bits is not None:
-        bits = list(G._bits)
-        bits[u] &= ~(1 << v)
-        bits[v] &= ~(1 << u)
-        H._bits = tuple(bits)
-    return H
+    return Graph._from_rows(tuple(adj))
 
 
 def delete_vertex(G: Graph, v: int) -> tuple[Graph, dict[int, int]]:
@@ -251,23 +252,18 @@ def delete_vertex(G: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     """
     if not (0 <= v < G.n):
         raise GraphInputError(f"vertex {v} not in graph")
-    relabel = {}
-    nxt = 0
-    for u in range(G.n):
-        if u != v:
-            relabel[u] = nxt
-            nxt += 1
-    edges = [(relabel[a], relabel[b]) for (a, b) in G.edges() if v not in (a, b)]
-    return Graph(G.n - 1, edges), relabel
+    return induced_subgraph(G, (u for u in range(G.n) if u != v))
 
 
 def induced_subgraph(G: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by ``vs``, relabeled densely; returns old->new map."""
+    """Subgraph induced by ``vs``, relabeled densely; returns old->new map.
+    The kept rows are relabeled in place: relabeling keeps their order."""
     keep = sorted(set(vs))
+    if keep and not (0 <= keep[0] and keep[-1] < G.n):
+        raise GraphInputError(f"vertex set not within 0..{G.n - 1}")
     relabel = {u: i for i, u in enumerate(keep)}
-    kset = set(keep)
-    edges = [(relabel[a], relabel[b]) for (a, b) in G.edges() if a in kset and b in kset]
-    return Graph(len(keep), edges), relabel
+    rows = tuple(tuple(relabel[w] for w in G._adj[u] if w in relabel) for u in keep)
+    return Graph._from_rows(rows), relabel
 
 
 # -- connectivity ----------------------------------------------------------

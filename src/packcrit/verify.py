@@ -258,12 +258,10 @@ def _decorations(q: int, budget: int) -> Iterator[tuple[Pair, ...]]:
                 yield ((k, m),) + rest
 
 
-def _gq1_specs(r: int, max_v: int) -> list[FamilySpec]:
-    return [FamilySpec("gqr", r=r, pairs=pairs) for pairs in _decorations(1, max_v - r)]
-
-
-def _gq2_specs(r: int, max_v: int) -> list[FamilySpec]:
-    return [FamilySpec("gqr", r=r, pairs=pairs) for pairs in _decorations(2, max_v - r)]
+def _gqr_specs(q: int, r: int, max_v: int) -> list[FamilySpec]:
+    """The C_r specs with q decorated cut vertices, in ``_decorations``
+    order, on at most ``max_v`` vertices."""
+    return [FamilySpec("gqr", r=r, pairs=pairs) for pairs in _decorations(q, max_v - r)]
 
 
 def _h_lemma7_specs(max_v: int) -> list[FamilySpec]:
@@ -275,7 +273,7 @@ def _h_lemma7_specs(max_v: int) -> list[FamilySpec]:
 def _c4_pair_specs(keep: Callable[[int, int], bool]):
     """Spec source: the decorated C4s with two cut vertices whose pendant
     edge and pendant triangle totals, k1 + k2 and m1 + m2, pass ``keep``."""
-    return _specs(lambda v: (s for s in _gq2_specs(4, v) if keep(*map(sum, zip(*s.pairs)))))
+    return _specs(lambda v: (s for s in _gqr_specs(2, 4, v) if keep(*map(sum, zip(*s.pairs)))))
 
 
 def _teo1_instances() -> list[FamilySpec]:
@@ -360,25 +358,25 @@ _MV = "max_vertices"  # the size every sweep but the hub sweeps (base_max) reads
 
 THEOREMS: dict[str, Sweep] = {sweep.theorem: sweep for sweep in (
     Sweep("pro4", lambda c: f"pendant-decorated C5, one cut vertex, |V|<={c[_MV]}: formula vs solver",
-          _specs(lambda v: _gq1_specs(5, v)), _formula, {_MV: 14}),
+          _specs(lambda v: _gqr_specs(1, 5, v)), _formula, {_MV: 14}),
     Sweep("pro5", lambda c: f"decorated C5 with k1>0, |V|<={c[_MV]}: never critical",
-          _specs(lambda v: (s for s in _gq1_specs(5, v) if s.pairs[0][0] > 0)), _never_critical, {_MV: 16}),
+          _specs(lambda v: (s for s in _gqr_specs(1, 5, v) if s.pairs[0][0] > 0)), _never_critical, {_MV: 16}),
     Sweep("pro6", lambda c: "single triangle on C5: not critical",
           _specs(lambda v: [FamilySpec("gqr", r=5, pairs=((0, 1),))]), _never_critical),
     Sweep("pro7", lambda c: f"decorated C5, one cut vertex, |V|<={c[_MV]}: criticality iff k1=0, m1>=2",
-          _specs(lambda v: _gq1_specs(5, v)), _closed_critical, {_MV: 16}),
+          _specs(lambda v: _gqr_specs(1, 5, v)), _closed_critical, {_MV: 16}),
     Sweep("pro8", lambda c: f"decorated C5, two cut vertices, |V|<={c[_MV]}: formula vs solver",
-          _specs(lambda v: _gq2_specs(5, v)), _formula, {_MV: 14}),
+          _specs(lambda v: _gqr_specs(2, 5, v)), _formula, {_MV: 14}),
     Sweep("pro9", lambda c: f"decorated C5, two cut vertices, |V|<={c[_MV]}: never critical",
-          _specs(lambda v: _gq2_specs(5, v)), _never_critical, {_MV: 12}),
+          _specs(lambda v: _gqr_specs(2, 5, v)), _never_critical, {_MV: 12}),
     Sweep("pro10", lambda c: f"decorated C4, one cut vertex, |V|<={c[_MV]}: formula vs solver",
-          _specs(lambda v: _gq1_specs(4, v)), _formula, {_MV: 14}),
+          _specs(lambda v: _gqr_specs(1, 4, v)), _formula, {_MV: 14}),
     Sweep("pro11", lambda c: f"decorated C4, one cut vertex, |V|<={c[_MV]}: never critical",
-          _specs(lambda v: _gq1_specs(4, v)), _never_critical, {_MV: 16}),
+          _specs(lambda v: _gqr_specs(1, 4, v)), _never_critical, {_MV: 16}),
     Sweep("pro12", lambda c: f"decorated C4, two cut vertices, |V|<={c[_MV]}: formula vs solver",
-          _specs(lambda v: _gq2_specs(4, v)), _formula, {_MV: 14}),
+          _specs(lambda v: _gqr_specs(2, 4, v)), _formula, {_MV: 14}),
     Sweep("pro13", lambda c: f"decorated C4, two cut vertices, |V|<={c[_MV]}: criticality clauses",
-          _specs(lambda v: _gq2_specs(4, v)), _closed_critical, {_MV: 12}),
+          _specs(lambda v: _gqr_specs(2, 4, v)), _closed_critical, {_MV: 12}),
     Sweep("pro15", lambda c: f"decorated C4, leaves only, k1+k2>=3, |V|<={c[_MV]}: never critical",
           _c4_pair_specs(lambda k, m: m == 0 and k >= 3), _never_critical, {_MV: 16}),
     Sweep("pro16", lambda c: f"decorated C4, mixed pendants, |V|<={c[_MV]}: never critical",

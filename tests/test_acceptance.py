@@ -17,7 +17,7 @@ from packcrit.graphio import emit_graph6, parse_graph6
 from packcrit.graphs import Graph, delete_edge, delete_vertex
 from packcrit.independence import alpha, check_lemma_rad3
 from packcrit.packing import chi_rho, verify_packing_coloring
-from packcrit.verify import run_sweep, _gq1_specs, _gq2_specs, _h_lemma7_specs, _teo1_instances
+from packcrit.verify import run_sweep, _gqr_specs, _h_lemma7_specs, _teo1_instances
 from oracles import brute_has_packing_coloring
 
 
@@ -173,10 +173,10 @@ def test_criterion_08_property_suites(connected_upto_7, acceptance_report):
 
 def _criteria_2_to_5_family_members(max_n: int) -> list[Graph]:
     specs: list[FamilySpec] = []
-    specs += _gq1_specs(5, max_n)
-    specs += _gq2_specs(5, max_n)
-    specs += _gq1_specs(4, max_n)
-    specs += _gq2_specs(4, max_n)
+    specs += _gqr_specs(1, 5, max_n)
+    specs += _gqr_specs(2, 5, max_n)
+    specs += _gqr_specs(1, 4, max_n)
+    specs += _gqr_specs(2, 4, max_n)
     specs += [s for s in _h_lemma7_specs(max_n)]
     specs += [s for s in _teo1_instances() if s.vertex_count() <= max_n]
     out = []

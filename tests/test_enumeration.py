@@ -455,14 +455,17 @@ def test_stream_digest_pinned(structure, n):
 
 @pytest.mark.parametrize("structure,n", sorted(STREAM_DIGESTS))
 def test_graph_from_bits_is_the_edge_list_graph(structure, n):
-    # ``_graph`` fills the slots from the bitmasks; the graph an edge list
-    # read off the same bitmasks gives must be equal in every respect.
+    # ``_graph`` builds through ``Graph._from_rows`` from the bitmasks; the
+    # graph an edge list read off the same bitmasks gives, and the one the
+    # rows alone give (bitmasks built on first read), must be equal in every
+    # respect.
     for k in range(1, n + 1):
         for g in representatives(structure, k):
             adj = g.adjacency_bits()
-            got = _graph(adj)
             want = Graph(k, [(u, w) for u in range(k) for w in range(u + 1, k) if adj[u] >> w & 1])
-            for h in (got, g):
+            rows = Graph._from_rows(tuple(want.neighbors(v) for v in range(k)))
+            for h in (_graph(adj), g, rows):
                 assert h == want and hash(h) == hash(want), emit_graph6(g)
                 assert [h.neighbors(v) for v in range(k)] == [want.neighbors(v) for v in range(k)]
                 assert h.adjacency_bits() == want.adjacency_bits() and h.edges() == want.edges()
+                assert h.edge_count == want.edge_count and repr(h) == repr(want)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import packcrit
 from packcrit.enumeration import representatives
 from packcrit.errors import DisconnectedGraphError, GraphInputError
 from packcrit.graphs import (
@@ -21,6 +24,7 @@ from packcrit.graphs import (
     delete_vertex,
     diameter,
     eccentricities,
+    induced_subgraph,
     is_block_graph,
     is_cactus,
     is_connected,
@@ -69,6 +73,17 @@ class TestConstruction:
     def test_equality_is_labeled(self):
         assert Graph(3, [(0, 1)]) != Graph(3, [(1, 2)])
         assert hash(Graph(3, [(0, 1)])) == hash(Graph(3, [(1, 0)]))
+        assert Graph(0) == Graph(0) and hash(Graph(0)) == hash(Graph(0))
+        assert Graph(0) != Graph(1) and Graph(2) != Graph(3)
+
+    def test_has_edge_off_the_graph(self):
+        # Out-of-range, negative and loop pairs are never edges.
+        for g in (C4, W6, Graph(0), Graph(1)):
+            for u, v in [(-1, 0), (0, -1), (-1, -1), (g.n, 0), (0, g.n), (g.n, g.n + 1)]:
+                assert not g.has_edge(u, v), (g, u, v)
+            for v in g.vertices():
+                assert not g.has_edge(v, v)
+                assert all(g.has_edge(v, w) and g.has_edge(w, v) for w in g.neighbors(v))
 
 
 class TestDistances:
@@ -182,6 +197,14 @@ class TestBallMetrics:
             assert is_connected(g) == (len(components(g)) <= 1), g
 
 
+def _assert_same_graph(got: Graph, want: Graph) -> None:
+    """``got`` equals ``want`` in every read a caller can make."""
+    assert got == want and hash(got) == hash(want), (got, want)
+    assert got.n == want.n and got.edges() == want.edges() and got.edge_count == want.edge_count, (got, want)
+    assert [got.neighbors(v) for v in got.vertices()] == [want.neighbors(v) for v in want.vertices()], (got, want)
+    assert got.adjacency_bits() == want.adjacency_bits(), (got, want)
+
+
 class TestDeletions:
     def test_c4_minus_edge_is_p4(self):
         g = delete_edge(C4, (0, 1))
@@ -199,17 +222,32 @@ class TestDeletions:
         assert relabel == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
 
     def test_edge_deletion_is_rebuilt_graph(self, all_graphs_upto_6):
-        # Built from the original graph's rows, edge set and bitmasks, the
-        # result is the graph a fresh edge list gives, whether or not the
-        # original's bitmasks were cached.
+        # Built from the original graph's rows, the result is the graph a
+        # fresh edge list gives, whether or not the original's bitmasks were
+        # cached.
         for g in all_graphs_upto_6:
             for e in g.edges():
                 want = Graph(g.n, [f for f in g.edges() if f != e])
                 for got in (delete_edge(Graph(g.n, g.edges()), e), delete_edge(g, e)):
-                    assert got == want and hash(got) == hash(want), (g, e)
-                    assert [got.neighbors(v) for v in got.vertices()] == [want.neighbors(v) for v in want.vertices()]
-                    assert got.adjacency_bits() == want.adjacency_bits(), (g, e)
+                    _assert_same_graph(got, want)
                 assert delete_edge(g, e[::-1]) == want
+
+    def test_induced_subgraph_is_rebuilt_graph(self, all_graphs_upto_6):
+        # Every vertex subset, handed over unsorted: the relabeled rows are
+        # the graph the relabeled edge list gives, under the dense map.
+        for g in all_graphs_upto_6:
+            for mask in range(1 << g.n):
+                keep = [v for v in g.vertices() if mask >> v & 1]
+                relabel = {u: i for i, u in enumerate(keep)}
+                want = Graph(len(keep), [(relabel[u], relabel[w]) for u, w in g.edges() if u in relabel and w in relabel])
+                got, got_relabel = induced_subgraph(g, reversed(keep))
+                assert got_relabel == relabel, (g, keep)
+                _assert_same_graph(got, want)
+                if len(keep) == g.n - 1:
+                    (v,) = set(g.vertices()) - set(keep)
+                    got, got_relabel = delete_vertex(g, v)
+                    assert got_relabel == relabel, (g, v)
+                    _assert_same_graph(got, want)
 
     def test_missing_edge_rejected(self):
         with pytest.raises(GraphInputError):
@@ -218,6 +256,9 @@ class TestDeletions:
     def test_missing_vertex_rejected(self):
         with pytest.raises(GraphInputError):
             delete_vertex(C4, 9)
+        for vs in ([0, 4], [-1, 0], [9]):
+            with pytest.raises(GraphInputError):
+                induced_subgraph(C4, vs)
 
 
 class TestComponents:
@@ -359,3 +400,52 @@ class TestTwinClasses:
         # pendant triangle closed twins.
         g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4), (0, 5)])
         assert twin_classes(g.adjacency_bits()) == [0, 1, 1, 3, 3, 1]
+
+
+def _layout_breaches(source: str) -> list[str]:
+    """The places in ``source`` that build a ``Graph`` without ``__init__``
+    or assign one of its slots: ``Graph.__new__`` or ``object.__new__``
+    calls, and assignments (or ``setattr`` calls) to an attribute named
+    like a ``Graph`` slot."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "__new__":
+            if isinstance(node.value, ast.Name) and node.value.id in ("Graph", "object"):
+                found.append(f"line {node.lineno}: {node.value.id}.__new__")
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and sub.attr in Graph.__slots__:
+                    found.append(f"line {sub.lineno}: assigns .{sub.attr}")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "setattr":
+            name = node.args[1] if len(node.args) > 1 else None
+            if isinstance(name, ast.Constant) and name.value in Graph.__slots__:
+                found.append(f"line {node.lineno}: setattr .{name.value}")
+    return found
+
+
+class TestStorageLayout:
+    """Only ``graphs`` knows how a ``Graph`` is stored: every other module
+    builds one through ``Graph(...)`` or ``Graph._from_rows``."""
+
+    def test_no_other_module_fills_graph_slots(self):
+        modules = sorted(Path(packcrit.__file__).parent.glob("*.py"))
+        assert any(p.name == "enumeration.py" for p in modules)
+        breaches = {p.name: _layout_breaches(p.read_text()) for p in modules if p.name != "graphs.py"}
+        assert {name: found for name, found in breaches.items() if found} == {}
+
+    def test_scan_catches_slot_writes(self):
+        # The scan flags each way of filling the slots by hand.
+        assert _layout_breaches("G = Graph.__new__(Graph)")
+        assert _layout_breaches("G = object.__new__(Graph)")
+        for slot in Graph.__slots__:
+            assert _layout_breaches(f"G.{slot} = x")
+            assert _layout_breaches(f"G.{slot}: int = x")
+        assert _layout_breaches("G._bits, G.n = b, 3")
+        assert _layout_breaches("setattr(G, '_adj', rows)")
+        assert not _layout_breaches("G = Graph._from_rows(rows, bits)\nn = G.n\nsetattr(o, 'k', 1)")
+        assert _layout_breaches(Path(packcrit.__file__).with_name("graphs.py").read_text())

@@ -339,7 +339,7 @@ class TestRoomRefusals:
         # leaves are open twins and pendant triangles closed twins.  Each
         # graph at every k up to its value, and every component of every
         # single-edge deletion one color below it.
-        for spec in verify._gq2_specs(4, 10):
+        for spec in verify._gqr_specs(2, 4, 10):
             g = build(spec).graph
             value = chi_rho(g).value
             for k in range(1, value + 1):
