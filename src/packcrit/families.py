@@ -16,8 +16,8 @@ vertex).  The text grammar, e.g. ``G2^4(1,2;2,1)``, ``H(0,2;2,0)``, ``T3``,
 Each classic kind is one row of ``_SIMPLE``: its spec prefix, least n,
 order, labeled edges and roles, and closed-form packing chromatic number,
 which validation, text, parsing, building and the closed form all read.
-Gqr and H share one builder: H's hub edge is a two-vertex main block that
-carries the pendants as Gqr's C_r does.
+Gqr and H share one builder and one reader: H's hub edge is a two-vertex
+main block that carries the pendants as Gqr's C_r does.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import DisconnectedGraphError, SpecSyntaxError
 from .graphs import (
+    Block,
+    BlockDecomposition,
     Edge,
     Graph,
     block_decomposition,
-    components,
-    is_cactus,
+    delete_vertex,
     is_connected,
-    universal_vertices,
 )
 
 Pair = tuple[int, int]
@@ -330,128 +330,68 @@ def closed_form_critical(spec: FamilySpec) -> Optional[bool]:
 # -- recognition -------------------------------------------------------------
 
 
-def _degree_multiset(G: Graph) -> list[int]:
-    return sorted(G.degree(v) for v in range(G.n))
-
-
 def _recognize_simple(G: Graph) -> Optional[FamilySpec]:
+    """The classic kind of a connected graph, read off its degree multiset
+    (and, for a wheel, its rim).  The small graphs that also fit a later
+    test (K3 a cycle, P3 a path) are taken by an earlier one."""
     n = G.n
-    m = G.edge_count
-    if m == n * (n - 1) // 2 and n >= 1:
+    degs = sorted(G.degree(v) for v in range(n))
+    if degs[0] == n - 1:
         return FamilySpec("complete", n=n)
-    degs = _degree_multiset(G)
-    if n >= 4 and m == n and all(d == 2 for d in degs):
+    if degs == [2] * n:
         return FamilySpec("cycle", n=n)
-    if n >= 3 and degs == [1] * (n - 1) + [n - 1]:
+    if degs == [1] * (n - 1) + [n - 1]:
         return FamilySpec("star", n=n - 1)
-    if n >= 4 and m == n - 1 and degs == [1, 1] + [2] * (n - 2):
+    if degs == [1, 1] + [2] * (n - 2):
         return FamilySpec("path", n=n)
-    for u in sorted(universal_vertices(G)):
-        rest = [v for v in range(G.n) if v != u]
-        rest_degs = sorted(G.degree(v) for v in rest)
-        if n >= 5 and rest_degs == [3] * (n - 1):
-            # hub + cycle: the rim must be one connected cycle, not several
-            rim_edges = [e for e in G.edges() if u not in e]
-            if len(rim_edges) == n - 1:
-                rim = Graph(G.n, rim_edges)
-                if len([c for c in components(rim) if len(c) > 1]) == 1:
-                    return FamilySpec("wheel", n=n)
-        if n >= 5 and n % 2 == 1 and rest_degs == [2] * (n - 1):
-            rim_edges = [e for e in G.edges() if u not in e]
-            if len(rim_edges) == (n - 1) // 2:
-                return FamilySpec("friendship", n=(n - 1) // 2)
+    if degs[-1] == n - 1 and degs[0] == degs[-2] in (2, 3):
+        # one hub over a rim that is 1-regular (friendship) or 2-regular
+        # (a wheel once it is one cycle)
+        if degs[0] == 2:
+            return FamilySpec("friendship", n=(n - 1) // 2)
+        hub = next(v for v in range(n) if G.degree(v) == n - 1)
+        if is_connected(delete_vertex(G, hub)[0]):
+            return FamilySpec("wheel", n=n)
     return None
 
 
-def _pendant_profile(bd, main_vertices: frozenset[int]):
-    """Classify every non-main block as a pendant K2 or triangle on a main
-    vertex; None when any block fails the shape."""
-    counts: dict[int, list[int]] = {}
+def _read_decorated(bd: BlockDecomposition, main: Block) -> Optional[FamilySpec]:
+    """Read the graph as Gqr around a main cycle, or as H around the K2 of
+    its two hubs: every cut vertex lies on ``main``, and every other block is
+    a pendant K2 or triangle on one main vertex.  The pairs are read along
+    ``main`` in both directions from each rotation that puts the cut
+    vertices first, and the least reading is kept."""
+    cuts = bd.cut_vertices
+    if not cuts or not cuts <= main.vertices:
+        return None
+    counts = {v: [0, 0] for v in cuts}  # cut vertex -> [pendant K2s, pendant triangles]
     for b in bd.blocks:
-        if b.vertices == main_vertices:
+        if b is main:
             continue
-        shared = b.vertices & main_vertices
-        if len(shared) != 1:
+        shared = b.vertices & main.vertices
+        if len(shared) != 1 or not (b.is_k2 or b.order == 3):
             return None
-        anchor = next(iter(shared))
-        if b.is_k2:
-            counts.setdefault(anchor, [0, 0])[0] += 1
-        elif b.is_cycle and b.order == 3:
-            counts.setdefault(anchor, [0, 0])[1] += 1
-        else:
-            return None
-    return counts
-
-
-def _recognize_gqr(G: Graph) -> Optional[FamilySpec]:
-    bd = block_decomposition(G)
-    cycles = [b for b in bd.blocks if b.is_cycle]
-    if not cycles:
-        return None
-    best_len = max(b.order for b in cycles)
-    if best_len not in (3, 4, 5):
-        return None
-    # Among largest cycles, try each as the main block in lexicographic
-    # order.  Any two cycles that both qualify share every cut vertex, so
-    # they read off the same parameters and the choice cannot change the
-    # outcome.
-    mains = sorted(
-        (b for b in cycles if b.order == best_len),
-        key=lambda b: tuple(sorted(b.vertices)),
-    )
-    for main in mains:
-        spec = _read_gqr_with_main(G, bd, main)
-        if spec is not None:
-            return spec
-    return None
-
-
-def _read_gqr_with_main(G: Graph, bd, main) -> Optional[FamilySpec]:
-    if not bd.cut_vertices <= main.vertices:
-        return None
-    counts = _pendant_profile(bd, main.vertices)
-    if counts is None:
-        return None
-    if set(counts) != set(bd.cut_vertices) or not counts:
-        return None
-
-    # Cyclic order of the main block, then require the cut vertices to form
-    # a consecutive arc; read the (k, m) tuple in every valid direction and
-    # keep the lexicographically least.
-    r = main.order
-    adj_in_main = {v: [] for v in main.vertices}
+        counts[next(iter(shared))][b.order - 2] += 1
+    adj: dict[int, list[int]] = {v: [] for v in main.vertices}
     for a, b in main.edges:
-        adj_in_main[a].append(b)
-        adj_in_main[b].append(a)
-    start = min(main.vertices)
-    cyc = [start, min(adj_in_main[start])]
+        adj[a].append(b)
+        adj[b].append(a)
+    r, q = main.order, len(cuts)
+    cyc = [min(main.vertices)]
+    cyc.append(min(adj[cyc[0]]))
     while len(cyc) < r:
-        prev, cur = cyc[-2], cyc[-1]
-        cyc.append(next(w for w in adj_in_main[cur] if w != prev))
-    cuts = set(counts)
-    q = len(cuts)
-    candidates = []
-    for direction in (1, -1):
-        seq = cyc if direction == 1 else list(reversed(cyc))
-        for off in range(r):
-            rot = [seq[(off + i) % r] for i in range(r)]
-            if all(v in cuts for v in rot[:q]) and all(v not in cuts for v in rot[q:]):
-                candidates.append(tuple((counts[v][0], counts[v][1]) for v in rot[:q]))
-    if not candidates:
-        return None
-    return FamilySpec("gqr", r=r, pairs=min(candidates))
-
-
-def _recognize_h(G: Graph) -> Optional[FamilySpec]:
-    bd = block_decomposition(G)
-    hubs = bd.cut_vertices
-    if len(hubs) != 2 or not any(b.vertices == hubs for b in bd.blocks):
-        return None  # two hubs, and the hub edge a bridge block of its own
-    counts = _pendant_profile(bd, hubs)
-    if counts is None or set(counts) != hubs:
-        return None  # a non-hub block off the hubs, or a hub without pendants
-    p1, p2 = (tuple(counts[u]) for u in sorted(hubs))
-    return FamilySpec("h", pairs=min((p1, p2), (p2, p1)))
+        cyc.append(next(w for w in adj[cyc[-1]] if w != cyc[-2]))
+    readings = [
+        tuple(tuple(counts[v]) for v in rot[:q])
+        for seq in (cyc, cyc[::-1])
+        for rot in (seq[i:] + seq[:i] for i in range(r))
+        if cuts.issuperset(rot[:q])
+    ]
+    if not readings:
+        return None  # the cut vertices are not one arc of ``main``
+    if r == 2:
+        return FamilySpec("h", pairs=min(readings))
+    return FamilySpec("gqr", r=r, pairs=min(readings))
 
 
 def recognize(G: Graph) -> Optional[FamilySpec]:
@@ -459,18 +399,25 @@ def recognize(G: Graph) -> Optional[FamilySpec]:
 
     Overlapping memberships resolve by a fixed priority (complete, cycle,
     star, path, wheel, friendship, Gqr, H), so e.g. a triangle reports as K3
-    and P4 as a path.  Building the returned spec always yields a graph
-    isomorphic to the input.
+    and P4 as a path.  A cactus is read as Gqr around each of its longest
+    cycles, if they have at most 5 vertices, in block order, and then as H
+    around the K2 block that equals its cut set; the first reading that
+    succeeds is the answer.  Building the returned spec always yields a
+    graph isomorphic to the input.
     """
     if G.n == 0 or not is_connected(G):
         raise DisconnectedGraphError("recognition requires a connected, non-empty graph")
     simple = _recognize_simple(G)
     if simple is not None:
         return simple
-    if not is_cactus(G):
-        return None
-    if G.edge_count >= G.n:  # has a cycle
-        got = _recognize_gqr(G)
-        if got is not None:
-            return got
-    return _recognize_h(G)
+    bd = block_decomposition(G)
+    if not all(b.is_k2 or b.is_cycle for b in bd.blocks):
+        return None  # not a cactus
+    longest = max(b.order for b in bd.blocks)
+    mains = [b for b in bd.blocks if b.is_cycle and b.order == longest <= 5]
+    mains += [b for b in bd.blocks if b.is_k2 and b.vertices == bd.cut_vertices]
+    for main in mains:
+        spec = _read_decorated(bd, main)
+        if spec is not None:
+            return spec
+    return None

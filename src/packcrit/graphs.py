@@ -127,9 +127,6 @@ class DistanceMatrix:
         u, v = uv
         return self.rows[u][v]
 
-    def row(self, u: int) -> tuple[float, ...]:
-        return self.rows[u]
-
     def is_reachable(self, u: int, v: int) -> bool:
         return self.rows[u][v] != UNREACHABLE
 
@@ -336,18 +333,11 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks, cut vertices, and the bipartite block-cut tree.
-
-    ``tree_edges`` pairs a block index with each cut vertex it contains;
-    every edge of the graph lies in exactly one block.
-    """
+    """Blocks and cut vertices; every edge of the graph lies in exactly one
+    block."""
 
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
-    tree_edges: tuple[tuple[int, int], ...]
-
-    def blocks_at(self, v: int) -> list[Block]:
-        return [b for b in self.blocks if v in b.vertices]
 
 
 def _edge_blocks(G: Graph) -> list[list[Edge]]:
@@ -427,16 +417,12 @@ def block_decomposition(G: Graph) -> BlockDecomposition:
     if G.n == 0 or not is_connected(G):
         raise DisconnectedGraphError("block decomposition requires a connected, non-empty graph")
     if G.n == 1:
-        return BlockDecomposition((Block(frozenset({0}), frozenset()),), frozenset(), ())
+        return BlockDecomposition((Block(frozenset({0}), frozenset()),), frozenset())
     blocks = sorted(
         (Block(frozenset(chain.from_iterable(blk)), frozenset(_norm(*e) for e in blk)) for blk in _edge_blocks(G)),
         key=lambda b: sorted(b.vertices),
     )
-    cuts = _shared_vertices(b.vertices for b in blocks)
-    tree = tuple(
-        (i, v) for i, b in enumerate(blocks) for v in sorted(b.vertices) if v in cuts
-    )
-    return BlockDecomposition(tuple(blocks), cuts, tree)
+    return BlockDecomposition(tuple(blocks), _shared_vertices(b.vertices for b in blocks))
 
 
 # -- structural predicates ---------------------------------------------------

@@ -30,7 +30,7 @@ from .classify import (
     classify_radius1,
 )
 from .criticality import is_edge_critical
-from .enumeration import EnumerationFilter, enumerate_graphs
+from .enumeration import EnumerationFilter, canonical_cert, enumerate_graphs
 from .errors import CharacterizationError, PreconditionError
 from .families import FamilySpec, Pair, build, closed_form_chi_rho, closed_form_critical
 from .graphio import emit_graph6
@@ -240,9 +240,9 @@ def _lem_rad3_payloads(cfg: dict) -> list[dict]:
         EnumerationFilter(max_n=min(7, cfg["max_vertices"]), min_n=4, connected=True)
     )
     graphs.extend(g for g in small if radius(g) >= 3 and is_alpha_critical(g).critical)
-    unique: dict[str, Graph] = {}  # graph6 -> the first graph with it
+    unique: dict[tuple[int, int], Graph] = {}  # canonical certificate -> the first graph with it
     for g in graphs:
-        unique.setdefault(emit_graph6(g), g)
+        unique.setdefault(canonical_cert(g), g)
     return [{"graph": g} for g in unique.values()]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from packcrit.families import (
     recognize,
 )
 from packcrit.graphio import emit_graph6
-from packcrit.graphs import diameter, is_cactus, leaves, radius
+from packcrit.graphs import Graph, diameter, is_cactus, leaves, radius
 from packcrit.iso import is_isomorphic
 from packcrit.packing import chi_rho
 
@@ -244,8 +245,6 @@ class TestRecognize:
         assert is_isomorphic(build(rec).graph, g)
 
     def test_relabeling_invariance(self):
-        import random
-
         rng = random.Random(5)
         for text in ["G2^4(1,2;2,1)", "H(0,2;2,0)", "G3^3(1,0;0,2;2,0)"]:
             g = build(parse_spec(text)).graph
@@ -253,14 +252,10 @@ class TestRecognize:
             for _ in range(5):
                 perm = list(range(g.n))
                 rng.shuffle(perm)
-                from packcrit.graphs import Graph
-
                 h = Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
                 assert recognize(h) == base
 
     def test_non_family_absent(self):
-        from packcrit.graphs import Graph
-
         petersen = Graph(
             10,
             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -268,20 +263,24 @@ class TestRecognize:
              (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
         )
         assert recognize(petersen) is None
+        # C6 with a pendant edge on every vertex: a main cycle has at most 5
+        # vertices
+        c6 = [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 6) for i in range(6)]
+        assert recognize(Graph(12, c6)) is None
+        # C4 sharing one vertex with a 5-cycle: the 5-cycle is the longest
+        # cycle, and the C4 off it is no pendant K2 or triangle
+        c4_c5 = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7), (7, 0)]
+        assert recognize(Graph(8, c4_c5)) is None
 
     def test_pendant_triangle_can_serve_as_main_block(self):
         # triangle + pendant triangle + a leaf off the pendant triangle: the
         # decorated pendant triangle is itself a valid main block
-        from packcrit.graphs import Graph
-
         g = Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (0, 4), (3, 4), (3, 5)])
         rec = recognize(g)
         assert rec == parse_spec("G2^3(0,1;1,0)")
         assert is_isomorphic(build(rec).graph, g)
 
     def test_deep_cactus_absent(self):
-        from packcrit.graphs import Graph
-
         # C4 main block with a path of two pendant edges: the outer cut
         # vertex is not on any cycle
         g1 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)])
@@ -300,11 +299,34 @@ class TestRecognize:
         assert recognize(build(parse_spec("W4")).graph) == parse_spec("K4")
         assert recognize(build(parse_spec("P3")).graph) == parse_spec("K1,2")
         assert recognize(build(parse_spec("T1")).graph) == parse_spec("K3")
+        assert recognize(build(hspec((1, 0), (1, 0))).graph) == parse_spec("P4")
 
     def test_hub_plus_two_triangles_not_wheel(self):
         g = build(parse_spec("T2")).graph  # 5 vertices, hub degree 4
         rec = recognize(g)
         assert rec == parse_spec("T2")
+
+    def test_recognition_digest_pinned(self, connected_upto_7, cacti_upto_10):
+        # Recorded before Gqr and H shared one reader: every connected graph
+        # to order 7, every cactus to order 10, and every Gqr and H spec to
+        # order 12, built and in one fixed relabelling.
+        rng = random.Random(18)
+        graphs = [*connected_upto_7, *cacti_upto_10]
+        for spec in decorated_specs(12):
+            g = build(spec).graph
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs += [g, Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])]
+        lines = [f"{emit_graph6(g)}\t{recognize(g)}" for g in graphs]
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert (len(lines), digest) == (8352, "4dc7b14d479ed99b6610b08dc4ac8b4b26692007755e9d4b3e536793dd34a3bb")
+
+    def test_recognized_cacti_rebuild_isomorphic(self, cacti_upto_10):
+        recognized = [(g, recognize(g)) for g in cacti_upto_10 if g.n <= 9]
+        recognized = [(g, rec) for g, rec in recognized if rec is not None]
+        assert recognized
+        for g, rec in recognized:
+            assert is_isomorphic(build(rec).graph, g), (emit_graph6(g), str(rec))
 
 
 class TestMetricSanity:

@@ -9,8 +9,9 @@ import os
 
 import pytest
 
+from packcrit.enumeration import canonical_cert
 from packcrit.errors import CharacterizationError, PreconditionError
-from packcrit.graphio import emit_graph6, parse_graph6
+from packcrit.graphio import parse_graph6
 from packcrit.graphs import Graph
 from packcrit.verify import THEOREMS, _decorations, run_sweep
 
@@ -119,7 +120,7 @@ SWEEP_PINS = {
     "pro14": ({"base_max": 5}, 52, "0640385351ac362e9e79c8c8db5367c6f8d6e6d212abc3df5ca613783bc05849"),
     "cor1": ({"base_max": 5}, 52, "eb1eb0a9c9e9795ed62de4b2ae92cc469e601c083312d0a2bccbfe930c25f0c8"),
     "cor-haynes": ({"max_vertices": 6}, 7, "0b06077d8802039ba723a824273960a63038bc4b1e2eabd9ddb19f3349323a71"),
-    "lem-rad3": ({}, 4, "9da91b064793efcb6c27d8798a35804a23dee6546173cd300afe78b8623d30af"),
+    "lem-rad3": ({}, 3, "00958107ec9f7707aaf849ca666b6ab1b3e78b1615d52281645dabe7a7b2a793"),
     "teo2": ({}, 996, "fbdb4b0ee5952695a9a3aa4e3b8a435c41c3001706bf23b2d76fce3e0efe082f"),
     "obsv1": ({}, 995, "c41d3cf462e9f08042b033a41ffbff1175bb2f43373a03baa8650c7939a93c48"),
     "lemma1": ({}, 10, "a3b142102a7c47ebb19b39e3ff2ed855ea16d7b770c9385cbe2110e90a78ad78"),
@@ -259,12 +260,12 @@ def test_workers_are_spawned(monkeypatch):
 
 def test_graph_payloads_cross_to_workers(monkeypatch):
     # Class sources hand over their graphs as they are, with no graph6
-    # round trip; lem-rad3 still keeps one graph per graph6.  Spawned
+    # round trip; lem-rad3 keeps one graph per isomorphism class.  Spawned
     # workers unpickle the graphs and write the same records, in order.
     sweep = THEOREMS["lem-rad3"]
     payloads = sweep.payloads(dict(sweep.defaults, corpus=None))
     assert payloads and all(isinstance(p["graph"], Graph) for p in payloads)
-    assert len({emit_graph6(p["graph"]) for p in payloads}) == len(payloads)
+    assert len({canonical_cert(p["graph"]) for p in payloads}) == len(payloads)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     one, two = (run_sweep("lem-rad3", jobs=jobs).records for jobs in (1, 2))
     for rec in one + two:
