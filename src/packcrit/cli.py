@@ -257,7 +257,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SpecSyntaxError as exc:
         print(_caret_message(exc), file=sys.stderr)
         return 2
-    except (GraphInputError, ValueError, KeyError) as exc:
+    except (GraphInputError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

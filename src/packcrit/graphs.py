@@ -287,19 +287,31 @@ def components(G: Graph) -> list[frozenset[int]]:
     return out
 
 
+def flood(bits: Sequence[int], mask: int, v: int) -> int:
+    """The connected component of ``v`` within ``mask``, as a bitmask, for
+    the graph whose per-vertex neighbour bitmasks are ``bits``.  Each round
+    expands the whole frontier, until none is left or the component is all
+    of ``mask``."""
+    frontier = bits[v] & mask
+    comp = frontier | (1 << v)
+    while frontier and comp != mask:
+        reach = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            reach |= bits[b.bit_length() - 1]
+        frontier = reach & mask & ~comp
+        comp |= frontier
+    return comp
+
+
 def is_connected(G: Graph) -> bool:
     """True when the graph has at most one component (vacuously for n=0):
     a flood over the adjacency bitmasks from vertex 0 reaches every vertex."""
     if G.n <= 1:
         return True
-    adj = G.adjacency_bits()
-    seen = todo = 1
-    while todo:
-        v = todo.bit_length() - 1
-        new = adj[v] & ~seen
-        seen |= new
-        todo = todo ^ (1 << v) | new
-    return seen == (1 << G.n) - 1
+    full = (1 << G.n) - 1
+    return flood(G.adjacency_bits(), full, 0) == full
 
 
 # -- articulation structure -------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError
-from .graphs import UNREACHABLE, Edge, Graph, all_pairs_distances
+from .graphs import UNREACHABLE, Edge, Graph, all_pairs_distances, flood
 
 
 class MisResult(NamedTuple):
@@ -39,21 +39,6 @@ class MisResult(NamedTuple):
 class AlphaCriticality(NamedTuple):
     critical: bool
     witness_edge: Optional[Edge]  # an edge whose removal keeps alpha, when not critical
-
-
-def _component(bits: Sequence[int], mask: int, v: int) -> int:
-    """The connected component of ``v`` within ``mask``, as a bitmask."""
-    frontier = bits[v] & mask
-    comp = frontier | (1 << v)
-    while frontier and comp != mask:
-        reach = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            reach |= bits[b.bit_length() - 1]
-        frontier = reach & mask & ~comp
-        comp |= frontier
-    return comp
 
 
 def _mis_size(bits: Sequence[int], mask: int, memo: dict[int, int]) -> int:
@@ -116,7 +101,7 @@ def _mis_size(bits: Sequence[int], mask: int, memo: dict[int, int]) -> int:
             continue
         # Branch inside best_v's component and add the rest of the mask; a
         # vertex that sees the whole mask leaves nothing outside it.
-        comp = _component(bits, mask, best_v) if best_deg + 1 < mask.bit_count() else mask
+        comp = flood(bits, mask, best_v) if best_deg + 1 < mask.bit_count() else mask
         vb = 1 << best_v
         excl = _mis_size(bits, comp ^ vb, memo)
         incl = 1 + _mis_size(bits, comp & ~(bits[best_v] | vb), memo)

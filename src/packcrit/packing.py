@@ -34,8 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
-from typing import Callable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DisconnectedGraphError, PreconditionError
 from .graphs import (
@@ -147,10 +146,26 @@ class _ClassCaps:
 
     @cached_property
     def plan(self) -> tuple[list[int], list[int]]:
-        """``_search_plan(masks)``, read when a search first asks, so once
-        per graph at most; color 1 must be built (or the diameter found)
-        first."""
-        return _search_plan(self.masks)
+        """The search order, non-increasing degree with ties in vertex
+        order, and each vertex's previous twin in that order
+        (``graphs.twin_classes``; n for the first of its class).  Read once
+        per graph, when a search first asks, from the distance-1 balls
+        ``masks[1]``, which are the adjacency bitmasks, so color 1 must be
+        built (or the diameter found) first.  Twins share a degree, so a
+        class is searched in vertex order.  Below diameter 2 the graph is
+        complete and no vertex gets a twin: every color is then high, and
+        the high colors already open in order."""
+        n = len(self.masks[0])
+        if len(self.masks) == 1:
+            return list(range(n)), [n] * n
+        adj = self.masks[1]
+        order = sorted(range(n), key=[-a.bit_count() for a in adj].__getitem__)
+        last = [n] * n
+        prev = []
+        for v, c in enumerate(twin_classes(adj)):
+            prev.append(last[c])
+            last[c] = v
+        return order, prev
 
     @property
     def d(self) -> int:
@@ -193,43 +208,17 @@ def diam2_formula(G: Graph) -> int:
     return G.n - alpha(G) + 1
 
 
-def _search_plan(masks: list[list[int]]) -> tuple[list[int], list[int]]:
-    """The search order, non-increasing degree with ties in vertex order,
-    and each vertex's previous twin in that order (``graphs.twin_classes``;
-    n for the first of its class), read from the distance-1 balls
-    ``masks[1]``, which are the adjacency bitmasks.  Twins share a degree,
-    so a class is searched in vertex order.  Below diameter 2 the graph is
-    complete and no vertex gets a twin: every color is then high, and the
-    high colors already open in order."""
-    n = len(masks[0])
-    if len(masks) == 1:
-        return list(range(n)), [n] * n
-    adj = masks[1]
-    order = sorted(range(n), key=[-a.bit_count() for a in adj].__getitem__)
-    last = [n] * n
-    prev = []
-    for v, c in enumerate(twin_classes(adj)):
-        prev.append(last[c])
-        last[c] = v
-    return order, prev
+def _search_k(classes: _ClassCaps, k: int) -> Optional[list[int]]:
+    """Find a k-packing coloring of the connected graph ``classes`` was
+    built from, or prove none exists.
 
-
-def _search_k(
-    G: Graph,
-    masks: list[list[int]],
-    caps: list[int],
-    k: int,
-    plan: Optional[tuple[list[int], list[int]]] = None,
-) -> Optional[list[int]]:
-    """Find a k-packing coloring of connected G, or prove none exists.
-
-    ``masks`` and ``caps`` come from ``_ClassCaps.capacity(k)``, which built
-    every color below min(k + 1, d) for the diameter d, so ``len(masks)``
-    is d whenever k >= d - 1.  Vertices are assigned in non-increasing
-    degree order.  Colors i < ``len(masks)`` (low colors) check the
-    distance-<=i ball mask and the exact class-size cap; colors from there
-    on (high colors) force singletons, and among the currently empty ones
-    only the smallest is ever tried (they are interchangeable).
+    ``classes.capacity(k)`` has built every color below min(k + 1, d) for
+    the diameter d, so ``len(masks)`` is d whenever k >= d - 1.  Vertices
+    are assigned in non-increasing degree order.  Colors i < ``len(masks)``
+    (low colors) check the distance-<=i ball mask and the exact class-size
+    cap; colors from there on (high colors) force singletons, and among the
+    currently empty ones only the smallest is ever tried (they are
+    interchangeable).
 
     Each low color keeps ``blocked[i]``, its members and every vertex
     within distance i of one, so the colors can bound what they still hold.
@@ -246,24 +235,23 @@ def _search_k(
     and the first coloring found is the one the unpruned search finds.
 
     Each vertex tries colors from its floor: the color of the previous
-    member of its twin class in search order, or 1 for the first member.
-    ``plan`` holds the order and the previous twins, as ``_ClassCaps.plan``
-    does; without it they are read from ``masks``.  For twins u before v
-    the transposition (u v) is an automorphism, so a coloring s with
-    s(u) > s(v) has a smaller image: s(v) is low (two high colors open in
-    order), and the image agrees with s before u and takes the low s(v) at
-    u.  The first coloring the unfloored search finds therefore meets every
-    floor, and a node below a floor holds no coloring the search would
-    return first.
+    member of its twin class in search order (``_ClassCaps.plan``), or 1
+    for the first member.  For twins u before v the transposition (u v) is
+    an automorphism, so a coloring s with s(u) > s(v) has a smaller image:
+    s(v) is low (two high colors open in order), and the image agrees with
+    s before u and takes the low s(v) at u.  The first coloring the
+    unfloored search finds therefore meets every floor, and a node below a
+    floor holds no coloring the search would return first.
 
     The search recurses once per vertex; a component too large for the
     interpreter's recursion limit raises PreconditionError.
     """
-    n = G.n
+    masks, caps = classes.masks, classes.caps
+    n = len(masks[0])
     d = len(masks)
     low = tuple(range(1, min(k, d - 1) + 1))
     capf = [0] + [caps[i] if i < d else 1 for i in range(1, k + 1)]
-    order, prev = plan or _search_plan(masks)
+    order, prev = classes.plan
     colors = [0] * n + [1]  # colors[n] = 1: the floor of a vertex with no earlier twin
     class_cnt = [0] * (k + 1)
     blocked = [0] * (k + 1)
@@ -316,47 +304,38 @@ def _search_k(
     return colors[:n] if found else None
 
 
-def _within(G: Graph, classes: _ClassCaps, k: int) -> Optional[list[int]]:
-    """A k-packing coloring of connected G, or None.  A k whose colors hold
-    fewer than |V| vertices is refused unsearched; that is never weaker than
-    the counting bound, since each color below the diameter that is not
-    built holds at least one vertex."""
-    if classes.capacity(k) < G.n:
-        return None
-    return _search_k(G, classes.masks, classes.caps, k, classes.plan)
-
-
-def _chi_rho_connected(G: Graph) -> list[int]:
-    """An optimal packing coloring of connected G; its largest color is the
-    value, since the search at every smaller k failed."""
+def _first_coloring(G: Graph, ks: Iterable[int]) -> Optional[list[int]]:
+    """The coloring of connected G that the search finds at the first k in
+    ``ks`` it succeeds at, or None.  A k whose colors hold fewer than |V|
+    vertices is refused unsearched; that is never weaker than the counting
+    bound, since each color below the diameter that is not built holds at
+    least one vertex.  Over k = 1, 2, ... the coloring is optimal: its
+    largest color is the value, since the search at every smaller k
+    failed."""
     if G.n == 1:
-        return [1]
+        return [1] if any(k >= 1 for k in ks) else None
     classes = _ClassCaps(G)
-    for k in count(1):
-        found = _within(G, classes, k)
-        if found is not None:
-            return found
-    raise AssertionError("unreachable: n distinct colors always succeed")
+    for k in ks:
+        if classes.capacity(k) >= G.n:
+            found = _search_k(classes, k)
+            if found is not None:
+                return found
+    return None
 
 
-def _packs_within_connected(G: Graph, k: int) -> Optional[list[int]]:
-    if G.n == 1:
-        return [1] if k >= 1 else None
-    return _within(G, _ClassCaps(G), k)
-
-
-def _by_component(G: Graph, solve: Callable[[Graph], Optional[list[int]]]) -> Optional[list[int]]:
-    """Run ``solve`` on each component of non-empty G and merge the colorings
-    it returns; None as soon as one component has none."""
+def _by_component(G: Graph, ks: Iterable[int]) -> Optional[list[int]]:
+    """``_first_coloring(component, ks)`` on each component of non-empty G,
+    merged; None as soon as one component has none.  ``ks`` is iterated
+    once per component."""
     if G.n == 0:
         raise PreconditionError("packing chromatic number undefined on the empty graph")
     comps = components(G)
     if len(comps) == 1:
-        return solve(G)
+        return _first_coloring(G, ks)
     merged = [0] * G.n
     for comp in comps:
         sub, relabel = induced_subgraph(G, comp)
-        cols = solve(sub)
+        cols = _first_coloring(sub, ks)
         if cols is None:
             return None
         for old, new in relabel.items():
@@ -371,7 +350,7 @@ def packs_within(G: Graph, k: int) -> Optional[list[int]]:
     Decides ``chi_rho(G) <= k`` with one bounded search per component,
     skipped when the component's caps of colors 1..k sum below its order.
     """
-    return _by_component(G, lambda sub: _packs_within_connected(sub, k))
+    return _by_component(G, (k,))
 
 
 def chi_rho(G: Graph) -> ChiRho:
@@ -381,5 +360,5 @@ def chi_rho(G: Graph) -> ChiRho:
     witness colors each component optimally and classes merge freely across
     components (cross-component distances are unbounded).
     """
-    coloring = PackingColoring.from_colors(_by_component(G, _chi_rho_connected))
+    coloring = PackingColoring.from_colors(_by_component(G, range(1, G.n + 1)))
     return ChiRho(coloring.k, coloring)

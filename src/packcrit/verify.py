@@ -64,7 +64,7 @@ DEFAULT_JOBS = 1
 class Sweep:
     """One row of the sweep table.  ``describe`` and ``payloads`` take the
     run's configuration: ``defaults`` overridden by the caller's sizes, plus
-    ``corpus``."""
+    ``theorem`` and ``corpus``."""
 
     theorem: str
     describe: Callable[[dict], str]
@@ -162,7 +162,9 @@ def run_sweep(
     ``corpus`` substitutes externally supplied graphs for internal
     enumeration in class-based sweeps; the sweep's hypothesis class and
     extra predicate still filter them.  A size the sweep's defaults do not
-    name raises ValueError rather than being ignored.  At most
+    name, or a corpus given to a sweep whose instances are generated (the
+    spec sweeps and lem-rad3), raises ValueError rather than being ignored,
+    before any instance is built.  At most
     ``min(jobs, os.cpu_count(), number of instances)`` worker processes run;
     each is spawned as a fresh interpreter rather than forked, so none
     inherits the caller's threads, locks or caches.
@@ -178,7 +180,7 @@ def run_sweep(
             reads = ", ".join(sorted(sweep.defaults)) or "no size"
             raise ValueError(f"{theorem} does not read {key} (it reads {reads})")
         cfg[key] = size
-    cfg["corpus"] = corpus
+    cfg.update(theorem=theorem, corpus=corpus)
     t0 = time.perf_counter()
     payloads = sweep.payloads(cfg)
     workers = min(jobs, os.cpu_count() or 1, len(payloads))
@@ -195,9 +197,20 @@ def run_sweep(
 # -- instance sources ----------------------------------------------------------
 
 
+def _no_corpus(cfg: dict) -> None:
+    """Refuse a corpus for a source that generates its instances."""
+    if cfg["corpus"] is not None:
+        raise ValueError(f"{cfg['theorem']} does not read a corpus (its instances are generated)")
+
+
 def _specs(generate: Callable[[Optional[int]], Iterable[FamilySpec]]):
     """Spec source: the family specs ``generate(max_vertices)`` yields."""
-    return lambda cfg: [{"spec": str(s)} for s in generate(cfg.get("max_vertices"))]
+
+    def payloads(cfg: dict) -> list[dict]:
+        _no_corpus(cfg)
+        return [{"spec": str(s)} for s in generate(cfg.get("max_vertices"))]
+
+    return payloads
 
 
 def _class(extra: Optional[Callable[[Graph], bool]] = None, **filter_args):
@@ -235,6 +248,7 @@ def _hub_payloads(cfg: dict) -> list[dict]:
 
 
 def _lem_rad3_payloads(cfg: dict) -> list[dict]:
+    _no_corpus(cfg)
     graphs = [build(FamilySpec("cycle", n=n)).graph for n in range(7, cfg["max_vertices"] + 1, 2)]
     small = enumerate_graphs(
         EnumerationFilter(max_n=min(7, cfg["max_vertices"]), min_n=4, connected=True)

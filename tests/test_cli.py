@@ -147,6 +147,13 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {argv[0]} does not read ")
 
+    def test_corpus_for_a_generated_sweep(self, capsys, tmp_path):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Dhc\n")
+        code, out, err = run(capsys, "verify", "pro6", "--corpus", str(corpus), "--jobs", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: pro6 does not read a corpus (its instances are generated)\n"
+
     def test_parallel_matches_serial(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.ldjson", tmp_path / "b.ldjson"
         run(capsys, "verify", "lemma1", "--jobs", "1", "--out", str(p1))
@@ -154,6 +161,19 @@ class TestVerify:
         a = [dict(json.loads(ln), micros=0) for ln in p1.read_text().splitlines()]
         b = [dict(json.loads(ln), micros=0) for ln in p2.read_text().splitlines()]
         assert a == b
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "teo3", "--corpus", "{missing}", "--jobs", "1"),
+        ("chirho", "{dir}"),
+        ("verify", "pro6", "--out", "{dir}", "--jobs", "1"),
+    ], ids=["missing-corpus", "directory-graph", "directory-out"])
+    def test_reported_without_traceback(self, capsys, tmp_path, argv):
+        paths = {"missing": tmp_path / "missing.g6", "dir": tmp_path}
+        code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(tmp_path) in err
 
 
 class TestGen:

@@ -297,7 +297,7 @@ def _same_search(G, k):
     """The pruned search returns exactly the unpruned reference's answer."""
     classes = packing._ClassCaps(G)
     classes.capacity(k)
-    found = packing._search_k(G, classes.masks, classes.caps, k)
+    found = packing._search_k(classes, k)
     assert found == reference_search_k(G, classes.masks, classes.caps, k), (G, k)
     return found
 

@@ -186,6 +186,14 @@ def test_records_pinned(theorem, corpus):
     assert (rep.total, _records_digest(rep.records)) == tuple(want)
 
 
+@pytest.mark.parametrize("theorem", [t for t in ALL_IDS if t not in CORPUS_PINS])
+def test_corpus_refused_by_generated_sweeps(theorem):
+    # The spec sweeps and lem-rad3 generate their instances, so a corpus
+    # would be silently ignored.
+    with pytest.raises(ValueError, match=f"^{theorem} does not read a corpus"):
+        run_sweep(theorem, corpus=[parse_graph6("Dhc")])
+
+
 @pytest.mark.parametrize("theorem", list(RAISED_PINS))
 def test_raised_defaults_pinned(theorem):
     rep = run_sweep(theorem)
