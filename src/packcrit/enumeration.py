@@ -24,13 +24,36 @@ subsets are closed under the group, two subsets in one orbit grow
 isomorphic candidates, and only the first subset of each orbit, in the
 row's order, is tried.  The first candidate of a class is always the first
 of its orbit, so the kept representatives, and with them the stream, are
-those of trying every subset.  A candidate is grown as adjacency bitmasks
-(the parent's plus the new vertex) and certified from those; a ``Graph`` is
-built only for the candidate a class keeps.  The certificate search that
-admits a candidate also returns its automorphism group's generators, and
-the level stores them beside the representative, so the next order extends
-it without searching again.  ``iso`` stays out of this path: it is the
-independent oracle the tests check the certificates against.
+those of trying every subset.
+
+A candidate whose class an earlier parent has already grown is not
+certified at all.  Let C grow from the parent of rank i in its level (the
+order ``_level`` extends parents in).  If deleting some vertex u of C other
+than the new one leaves a graph of the row's class whose degree multiset
+only parents of rank below i have, then C less u is isomorphic to a parent
+of rank r < i.  The row extends that parent by every subset that grows a
+member of the class, so by the image of u's neighbors, and the first
+subset of that image's orbit grew a candidate isomorphic to C before C.
+C is then not the first candidate of its class, and its certificate search
+could only find a certificate already kept, so skipping it leaves every
+kept representative, certificate, generator and stream as they were.  The
+degree multiset is an exact key (``_degree_key``), and the key of C less u
+is read off C's own in O(deg u) (``_earlier_parent``).  C less u lies in
+the class always for ``all`` and, for every other row, whenever it is
+connected: cacti, trees and block graphs are each closed under connected
+induced subgraphs.  A new row must meet that condition, its class closed
+under deleting any vertex that leaves the graph connected, besides
+extending by every subset that grows a member; otherwise the skip could
+drop a class.  This is the cheap invariant of McKay's method that rejects
+a candidate before any canonical labelling is computed.
+
+A candidate is grown as adjacency bitmasks (the parent's plus the new
+vertex) and certified from those; a ``Graph`` is built only for the
+candidate a class keeps.  The certificate search that admits a candidate
+also returns its automorphism group's generators, and the level stores
+them beside the representative, so the next order extends it without
+searching again.  ``iso`` stays out of this path: it is the independent
+oracle the tests check the certificates against.
 """
 
 from __future__ import annotations
@@ -46,6 +69,7 @@ from .graphs import (
     bridges,
     components,
     eccentricities,
+    flood,
     is_block_graph,
     is_cactus,
     is_connected,
@@ -435,6 +459,44 @@ def _grow(parent: Graph, mask: int) -> tuple[int, ...]:
     return tuple(a | new if mask >> v & 1 else a for v, a in enumerate(parent.adjacency_bits())) + (mask,)
 
 
+def _degree_key(adj: Sequence[int], w: int) -> int:
+    """The degree multiset of the graph with neighbor bitmasks ``adj``, as
+    the sum of 2^(w * degree) over its vertices.  Each field of ``w`` bits
+    counts the vertices of one degree, so the key is exact while fewer than
+    2^w vertices share a degree: ``_level`` takes w from the order it
+    builds."""
+    return sum(1 << w * a.bit_count() for a in adj)
+
+
+def _earlier_parent(adj: tuple[int, ...], w: int, last_rank: dict[int, int], i: int, connected: bool) -> bool:
+    """Whether the candidate ``adj``, grown from the parent of rank i, has an
+    old vertex u such that the candidate less u lies in the row's class and
+    its degree key (``_degree_key`` at width w) belongs only to parents of
+    rank below i: ``last_rank`` maps each parent's key to the last rank
+    that has it.  The candidate less u lies in the class always for ``all``
+    and, for a row with a ``member`` predicate (``connected``), whenever it
+    is connected.  A candidate this holds for was grown earlier from
+    another parent (see the module docstring).
+
+    The key of the candidate less u is read off the candidate's own key in
+    O(deg u): deleting u drops its term and moves each neighbor's term one
+    field down."""
+    term = [1 << w * a.bit_count() for a in adj]
+    key = sum(term)
+    drop = [t - (t >> w) for t in term]
+    new = len(adj) - 1
+    full = (1 << len(adj)) - 1
+    for u in range(new):
+        k = key - term[u]
+        for v in _members(adj[u]):
+            k -= drop[v]
+        if last_rank.get(k, i) < i:
+            rest = full ^ 1 << u
+            if not connected or flood(adj, rest, new) == rest:
+                return True
+    return False
+
+
 def _graph(adj: tuple[int, ...]) -> Graph:
     """The graph whose vertex v has neighbor bitmask ``adj[v]``, built from
     ``adj`` and the ``_members`` memo rather than a re-validated edge list."""
@@ -495,11 +557,19 @@ def _level(structure: str, n: int) -> _Level:
         level = ((Graph(1),), ((),))
     else:
         row = _TABLE[structure]
+        parents, parent_gens = _level(structure, n - 1)
+        # at most n vertices share a degree, so n.bit_length() bits per
+        # field never carry, whatever cap the order was allowed by
+        w = n.bit_length()
+        last_rank = {_degree_key(parent.adjacency_bits(), w): r for r, parent in enumerate(parents)}
+        connected = row.member is not None
         # certificate -> bits and generators of the class's first candidate
         kept: dict[int, tuple[tuple[int, ...], list[list[int]]]] = {}
-        for parent, gens in zip(*_level(structure, n - 1)):
+        for i, (parent, gens) in enumerate(zip(parents, parent_gens)):
             for mask in _orbit_firsts(row.extensions(parent), gens):
                 adj = _grow(parent, mask)
+                if _earlier_parent(adj, w, last_rank, i, connected):
+                    continue
                 cert, cand_gens = _search_bits(adj)
                 if cert not in kept:
                     kept[cert] = (adj, cand_gens)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,8 @@ from packcrit.enumeration import (
     _TABLE,
     STRUCTURES,
     EnumerationFilter,
+    _degree_key,
+    _earlier_parent,
     _graph,
     _grow,
     _individualize,
@@ -25,7 +28,7 @@ from packcrit.enumeration import (
 from packcrit.errors import CapExceededError
 from packcrit.families import build, parse_spec
 from packcrit.graphio import emit_graph6
-from packcrit.graphs import Graph, is_block_graph, is_cactus, is_connected, is_tree, twin_classes
+from packcrit.graphs import Graph, delete_vertex, is_block_graph, is_cactus, is_connected, is_tree, twin_classes
 from packcrit.iso import is_isomorphic
 from packcrit.verify import THEOREMS
 from oracles import (
@@ -301,6 +304,129 @@ def test_candidate_counts_pinned(monkeypatch, structure, n):
     assert len(grown) == CANDIDATE_COUNTS[structure, n]
 
 
+# Certificate searches while building each level from scratch: one per grown
+# candidate that ``_earlier_parent`` does not show an earlier parent grew.
+# Without that skip every candidate is searched (CANDIDATE_COUNTS).
+SEARCH_COUNTS = {("all", 7): 1675, ("cactus", 10): 6231}
+
+
+@pytest.mark.parametrize("structure,n", sorted(SEARCH_COUNTS))
+def test_search_counts_pinned(monkeypatch, structure, n):
+    searched = []
+
+    def counting_search_bits(adj, twin_class=None):
+        searched.append(adj)
+        return _search_bits(adj, twin_class)
+
+    monkeypatch.setattr(enumeration, "_REPS_CACHE", {})
+    monkeypatch.setattr(enumeration, "_search_bits", counting_search_bits)
+    representatives(structure, n)
+    assert len(searched) == SEARCH_COUNTS[structure, n]
+
+
+# One order per ``_TABLE`` row, small enough to build twice.
+TABLE_ORDERS = [("all", 6), ("cactus", 9), ("tree", 10), ("block-graph", 8)]
+
+
+def _histogram(key: int, w: int) -> Counter:
+    """The degree multiset a ``_degree_key`` at width w encodes."""
+    counts: Counter = Counter()
+    degree = 0
+    while key:
+        if key & ((1 << w) - 1):
+            counts[degree] = key & ((1 << w) - 1)
+        key >>= w
+        degree += 1
+    return counts
+
+
+class _NoRank(dict):
+    """A rank table that has no key and records every key looked up, so
+    ``_earlier_parent`` skips nothing and reads the key of every deletion."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys: list[int] = []
+
+    def get(self, key, default=None):
+        self.keys.append(key)
+        return default
+
+
+def _deletion_keys(adj: tuple[int, ...]) -> list[int]:
+    """The keys ``_earlier_parent`` reads for the candidate ``adj``, one per
+    vertex but the new one, at the width of the candidate's order."""
+    ranks = _NoRank()
+    assert not _earlier_parent(adj, len(adj).bit_length(), ranks, len(adj), False)
+    return ranks.keys
+
+
+class TestEarlierParentSkip:
+    @pytest.mark.parametrize("structure,n", TABLE_ORDERS)
+    def test_levels_equal_searching_every_candidate(self, monkeypatch, structure, n):
+        # The skip drops only candidates whose class is already kept: the
+        # representatives and their generator tuples are those of searching
+        # every grown candidate, at every order.
+        monkeypatch.setattr(enumeration, "_REPS_CACHE", {})
+        skipping = [enumeration._level(structure, k) for k in range(1, n + 1)]
+        monkeypatch.setattr(enumeration, "_REPS_CACHE", {})
+        monkeypatch.setattr(enumeration, "_earlier_parent", lambda *args: False)
+        searching = [enumeration._level(structure, k) for k in range(1, n + 1)]
+        assert skipping == searching
+
+    @pytest.mark.parametrize("structure", [s for s in STRUCTURES if _TABLE[s].member is not None])
+    def test_member_survives_deleting_a_non_cut_vertex(self, structure):
+        # The skip reads a connected candidate less one vertex as a member of
+        # the row's class.
+        member = _TABLE[structure].member
+        for n in range(2, 9):
+            for g in representatives(structure, n):
+                for u in range(n):
+                    rest = delete_vertex(g, u)[0]
+                    if is_connected(rest):
+                        assert member(rest), (emit_graph6(g), u)
+
+    @pytest.mark.parametrize("structure,n", [("all", 6), ("cactus", 8), ("tree", 9), ("block-graph", 7)])
+    def test_incremental_key_is_the_key_of_the_deletion(self, monkeypatch, structure, n):
+        for adj in _grown(monkeypatch, structure, n):
+            w = len(adj).bit_length()
+            assert _histogram(_degree_key(adj, w), w) == Counter(a.bit_count() for a in adj), adj
+            expected = [
+                _degree_key([adj[v] & ~(1 << u) for v in range(len(adj)) if v != u], w) for u in range(len(adj) - 1)
+            ]
+            assert _deletion_keys(adj) == expected, adj
+
+    def test_key_exact_past_field_width_4(self):
+        # At order 16 the width is 5 bits: K1,15 less its center is 15
+        # isolated vertices, and the empty graph on 16 vertices counts 16
+        # in one field, which a 4-bit field would carry into the next.
+        star = _grow(Graph(15, [(0, v) for v in range(1, 15)]), 1)
+        w = len(star).bit_length()
+        assert w == 5
+        assert _histogram(_degree_key(star, w), w) == Counter({1: 15, 15: 1})
+        keys = _deletion_keys(star)
+        assert _histogram(keys[0], w) == Counter({0: 15})
+        assert all(_histogram(k, w) == Counter({1: 14, 14: 1}) for k in keys[1:])
+        empty = _grow(Graph(15), 0)
+        assert _histogram(_degree_key(empty, w), w) == Counter({0: 16})
+        assert _histogram(_degree_key(empty, 4), 4) == Counter({1: 1})  # 4 bits would carry
+
+    def test_width_follows_the_order_not_the_cap(self, monkeypatch):
+        # A PACKCRIT_MAX_N override below the order built leaves the width
+        # at the bit length of that order, so the key stays exact.
+        widths = set()
+
+        def recording(adj, w, last_rank, i, connected):
+            widths.add((len(adj), w))
+            return _earlier_parent(adj, w, last_rank, i, connected)
+
+        monkeypatch.setenv("PACKCRIT_MAX_N", "3")
+        monkeypatch.setattr(enumeration, "_REPS_CACHE", {})
+        monkeypatch.setattr(enumeration, "_earlier_parent", recording)
+        enumeration._level("tree", 9)
+        assert widths == {(n, n.bit_length()) for n in range(2, 10)}
+
+
 def test_filter_metrics_computed_once_per_representative(monkeypatch):
     calls = []
     eccentricities = enumeration.eccentricities
@@ -393,17 +519,19 @@ class TestRefine:
             assert _dense(color) == stable  # the parent partition is copied, not changed
 
 
-def _certified(monkeypatch, structure: str, n: int) -> list[tuple[int, ...]]:
-    """The adjacency bitmasks of every candidate ``representatives`` certifies
-    while it builds the levels of ``structure`` up to order n from scratch."""
+def _grown(monkeypatch, structure: str, n: int) -> list[tuple[int, ...]]:
+    """The adjacency bitmasks of every candidate ``representatives`` grows
+    while it builds the levels of ``structure`` up to order n from scratch,
+    whether or not its certificate search is skipped."""
     seen = []
 
-    def recording(adj, twin_class=None):
+    def recording(parent, mask):
+        adj = _grow(parent, mask)
         seen.append(adj)
-        return _search_bits(adj, twin_class)
+        return adj
 
     monkeypatch.setattr(enumeration, "_REPS_CACHE", {})
-    monkeypatch.setattr(enumeration, "_search_bits", recording)
+    monkeypatch.setattr(enumeration, "_grow", recording)
     representatives(structure, n)
     return seen
 
@@ -412,9 +540,9 @@ class TestSearchMatchesReference:
     """``_search_bits`` returns the plain search's certificate and
     generators, in the same order, on every input below."""
 
-    @pytest.mark.parametrize("structure,n", [("cactus", 9), ("all", 6), ("tree", 10), ("block-graph", 8)])
+    @pytest.mark.parametrize("structure,n", TABLE_ORDERS)
     def test_every_certified_candidate(self, monkeypatch, structure, n):
-        candidates = _certified(monkeypatch, structure, n)
+        candidates = _grown(monkeypatch, structure, n)
         assert candidates
         for adj in candidates:
             assert _search_bits(adj) == reference_search_bits(adj), adj
