@@ -47,6 +47,23 @@ extending by every subset that grows a member; otherwise the skip could
 drop a class.  This is the cheap invariant of McKay's method that rejects
 a candidate before any canonical labelling is computed.
 
+A filter with a radius needs only the classes of that radius at its top
+order, and no order above it is grown from that level.  So ``_level(s, n,
+radius)`` grows candidates from the full level n - 1 as the full level n
+does, and drops a candidate that ``_earlier_parent`` lets through whose
+radius (``graphs.radius_bits``, read off its bitmasks; a disconnected
+candidate has none) differs, before its certificate search.  Radius is an
+isomorphism invariant: every candidate of a class of that radius has it,
+so the first candidate of each such class is still searched and kept, and
+a dropped candidate's whole class is one the filter rejects.  The radius
+level is therefore the full level's representatives of that radius, with
+the same certificates, generators and order.  ``enumerate_graphs`` reads it
+at the filter's top order only, unless the full level is already cached;
+lower orders are parent levels and stay full, and so does
+``representatives``.  The level is keyed on the radius alone, so filters
+that differ only in diameter or connectivity share one build, and those
+constraints still apply afterwards.
+
 A candidate is grown as adjacency bitmasks (the parent's plus the new
 vertex) and certified from those; a ``Graph`` is built only for the
 candidate a class keeps.  The certificate search that admits a candidate
@@ -74,6 +91,7 @@ from .graphs import (
     is_cactus,
     is_connected,
     is_tree,
+    radius_bits,
     twin_classes,
 )
 
@@ -122,6 +140,10 @@ class EnumerationFilter:
             raise ValueError(f"unknown structure {self.structure!r}")
         if self.min_n < 1 or self.max_n < self.min_n:
             raise ValueError(f"bad order range [{self.min_n}, {self.max_n}]")
+        for name in ("radius", "diameter"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
     def matches(self, g: Graph) -> bool:
         """Whether ``g`` lies in the filtered class: order range, structure,
@@ -527,13 +549,15 @@ STRUCTURES = tuple(_TABLE)
 # Each cached level holds its representatives and, beside each, the
 # distinct generators of its automorphism group that its certificate search
 # found, as tuples: smaller than lists, and the garbage collector stops
-# tracking a tuple of ints.
+# tracking a tuple of ints.  A level is keyed by (structure, order, radius),
+# the radius None for the full level.
 _Gens = tuple[tuple[int, ...], ...]
 _Level = tuple[tuple[Graph, ...], tuple[_Gens, ...]]
-_REPS_CACHE: dict[tuple[str, int], _Level] = {}
+_LevelKey = tuple[str, int, Optional[int]]
+_REPS_CACHE: dict[_LevelKey, _Level] = {}
 # ``_level_metrics`` of the cached levels that a connectivity, radius or
-# diameter filter has read.
-_METRICS_CACHE: dict[tuple[str, int], tuple[_Metrics, ...]] = {}
+# diameter filter has read, under the same keys.
+_METRICS_CACHE: dict[_LevelKey, tuple[_Metrics, ...]] = {}
 
 
 def representatives(structure: str, n: int) -> tuple[Graph, ...]:
@@ -545,16 +569,18 @@ def representatives(structure: str, n: int) -> tuple[Graph, ...]:
     return _level(structure, n)[0]
 
 
-def _level(structure: str, n: int) -> _Level:
+def _level(structure: str, n: int, radius: Optional[int] = None) -> _Level:
     """``representatives(structure, n)`` and their automorphism generators,
-    cached per process."""
-    key = (structure, n)
+    cached per process; with ``radius`` given, only those of that radius.
+    The parents are always the full level n - 1: a radius level is never
+    extended (see the module docstring)."""
+    key = (structure, n, radius)
     level = _REPS_CACHE.get(key)
     if level is not None:
         return level
 
     if n == 1:
-        level = ((Graph(1),), ((),))
+        level = ((Graph(1),), ((),)) if radius in (None, 0) else ((), ())
     else:
         row = _TABLE[structure]
         parents, parent_gens = _level(structure, n - 1)
@@ -570,6 +596,8 @@ def _level(structure: str, n: int) -> _Level:
                 adj = _grow(parent, mask)
                 if _earlier_parent(adj, w, last_rank, i, connected):
                     continue
+                if radius is not None and radius_bits(adj) != radius:
+                    continue
                 cert, cand_gens = _search_bits(adj)
                 if cert not in kept:
                     kept[cert] = (adj, cand_gens)
@@ -582,26 +610,37 @@ def _level(structure: str, n: int) -> _Level:
     return level
 
 
-def _level_metrics(structure: str, n: int) -> tuple[_Metrics, ...]:
-    """``_metrics`` of each of ``representatives(structure, n)``, in the
-    same order, computed on the first read and cached per process."""
-    key = (structure, n)
+def _level_metrics(structure: str, n: int, radius: Optional[int] = None) -> tuple[_Metrics, ...]:
+    """``_metrics`` of each representative of ``_level(structure, n,
+    radius)``, in the same order, computed on the first read and cached per
+    process."""
+    key = (structure, n, radius)
     metrics = _METRICS_CACHE.get(key)
     if metrics is None:
-        metrics = _METRICS_CACHE[key] = tuple(map(_metrics, representatives(structure, n)))
+        metrics = _METRICS_CACHE[key] = tuple(map(_metrics, _level(structure, n, radius)[0]))
     return metrics
 
 
 def enumerate_graphs(filt: EnumerationFilter) -> Iterator[Graph]:
     """Stream exactly one representative per isomorphism class matching the
     filter, in deterministic (order, canonical certificate) order.  An
-    order past the structure's cap raises before anything is yielded."""
+    order past the structure's cap raises before anything is yielded.
+
+    A filter with a radius, not restricted to disconnected graphs, reads
+    its top order from the radius level unless the full level is already
+    cached; every lower order is a parent level and is read in full."""
     _check_cap(filt.structure, filt.max_n)
+    narrow_top = (
+        filt.radius is not None
+        and filt.connected is not False
+        and (filt.structure, filt.max_n, None) not in _REPS_CACHE
+    )
     for n in range(filt.min_n, filt.max_n + 1):
-        reps = representatives(filt.structure, n)
+        radius = filt.radius if narrow_top and n == filt.max_n else None
+        reps = representatives(filt.structure, n) if radius is None else _level(filt.structure, n, radius)[0]
         if not filt._reads_metrics:
             yield from reps
             continue
-        for G, metrics in zip(reps, _level_metrics(filt.structure, n)):
+        for G, metrics in zip(reps, _level_metrics(filt.structure, n, radius)):
             if filt._accepts(*metrics):
                 yield G

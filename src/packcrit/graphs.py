@@ -305,6 +305,31 @@ def flood(bits: Sequence[int], mask: int, v: int) -> int:
     return comp
 
 
+def radius_bits(bits: Sequence[int]) -> Optional[int]:
+    """The radius of the graph whose per-vertex neighbour bitmasks are
+    ``bits``, or None when it is disconnected or empty: the first round at
+    which some closed ball is full, each round joining every ball with its
+    neighbours' (as ``eccentricities`` grows them).  A round that grows no
+    ball before one is full means the graph is disconnected."""
+    n = len(bits)
+    full = (1 << n) - 1
+    balls = [1 << v for v in range(n)]
+    r = 0
+    while full not in balls:
+        grown = []
+        for b, a in zip(balls, bits):
+            while a:
+                low = a & -a
+                a ^= low
+                b |= balls[low.bit_length() - 1]
+            grown.append(b)
+        if grown == balls:
+            return None
+        balls = grown
+        r += 1
+    return r
+
+
 def is_connected(G: Graph) -> bool:
     """True when the graph has at most one component (vacuously for n=0):
     a flood over the adjacency bitmasks from vertex 0 reaches every vertex."""

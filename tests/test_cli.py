@@ -203,6 +203,12 @@ class TestEnumerate:
         graphs = [parse_graph6(ln) for ln in out.splitlines()]
         assert graphs and all(g.n <= 6 for g in graphs)
 
+    @pytest.mark.parametrize("flag", ["--rad", "--diam"])
+    def test_negative_metric_refused(self, capsys, flag):
+        code, out, err = run(capsys, "enumerate", "--cactus", flag, "-1", "--max-n", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be non-negative, got -1" in err
+
     def test_structure_flags_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--cactus", "--tree", "--max-n", "4"])

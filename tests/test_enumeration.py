@@ -28,7 +28,16 @@ from packcrit.enumeration import (
 from packcrit.errors import CapExceededError
 from packcrit.families import build, parse_spec
 from packcrit.graphio import emit_graph6
-from packcrit.graphs import Graph, delete_vertex, is_block_graph, is_cactus, is_connected, is_tree, twin_classes
+from packcrit.graphs import (
+    Graph,
+    delete_vertex,
+    is_block_graph,
+    is_cactus,
+    is_connected,
+    is_tree,
+    radius,
+    twin_classes,
+)
 from packcrit.iso import is_isomorphic
 from packcrit.verify import THEOREMS
 from oracles import (
@@ -119,6 +128,12 @@ class TestFilters:
                 if member(g)
             }
             assert via_structure == via_filter
+
+    @pytest.mark.parametrize("metric", ["radius", "diameter"])
+    def test_negative_metric_rejected(self, metric):
+        with pytest.raises(ValueError, match=f"{metric} must be non-negative, got -1"):
+            EnumerationFilter(max_n=5, structure="cactus", **{metric: -1})
+        assert EnumerationFilter(max_n=5, **{metric: 0}).matches(Graph(1))
 
     def test_connected_flag(self):
         got = list(enumerate_graphs(EnumerationFilter(max_n=4, min_n=4, connected=False)))
@@ -310,18 +325,66 @@ def test_candidate_counts_pinned(monkeypatch, structure, n):
 SEARCH_COUNTS = {("all", 7): 1675, ("cactus", 10): 6231}
 
 
-@pytest.mark.parametrize("structure,n", sorted(SEARCH_COUNTS))
-def test_search_counts_pinned(monkeypatch, structure, n):
-    searched = []
+def _count_searches(monkeypatch) -> list[tuple[int, ...]]:
+    """Empty the level caches and record the input of every certificate
+    search enumeration makes from now on."""
+    searched: list[tuple[int, ...]] = []
 
     def counting_search_bits(adj, twin_class=None):
         searched.append(adj)
         return _search_bits(adj, twin_class)
 
     monkeypatch.setattr(enumeration, "_REPS_CACHE", {})
+    monkeypatch.setattr(enumeration, "_METRICS_CACHE", {})
     monkeypatch.setattr(enumeration, "_search_bits", counting_search_bits)
+    return searched
+
+
+@pytest.mark.parametrize("structure,n", sorted(SEARCH_COUNTS))
+def test_search_counts_pinned(monkeypatch, structure, n):
+    searched = _count_searches(monkeypatch)
     representatives(structure, n)
     assert len(searched) == SEARCH_COUNTS[structure, n]
+
+
+# Certificate searches a radius filter makes from a clean cache: the full
+# levels below its top order, then only the candidates of that radius at the
+# top order.  Here that is 1,634 searches for cactus levels 1-9 (SEARCH_COUNTS
+# less level 10's 4,597) and 1,499 at level 10.
+RADIUS_SEARCH_COUNTS = {("cactus", 10, 2): 3133}
+
+
+@pytest.mark.parametrize("structure,n,r", sorted(RADIUS_SEARCH_COUNTS))
+def test_radius_search_counts_pinned(monkeypatch, structure, n, r):
+    searched = _count_searches(monkeypatch)
+    assert list(enumerate_graphs(EnumerationFilter(max_n=n, structure=structure, radius=r)))
+    assert len(searched) == RADIUS_SEARCH_COUNTS[structure, n, r]
+
+
+RADII = range(4)
+
+
+def _of_radius(level, r: int):
+    """The representatives of ``level`` of radius r, with their generators."""
+    reps, gens = level
+    keep = [i for i, g in enumerate(reps) if is_connected(g) and radius(g) == r]
+    return tuple(reps[i] for i in keep), tuple(gens[i] for i in keep)
+
+
+@pytest.mark.parametrize("full_first", [False, True], ids=["clean", "full-cached"])
+@pytest.mark.parametrize("structure,n", [("all", 6), ("cactus", 8), ("tree", 9), ("block-graph", 7)])
+def test_radius_level_is_the_full_level_of_that_radius(monkeypatch, structure, n, full_first):
+    # At every order, each radius level holds the full level's
+    # representatives of that radius, with their generators, in order,
+    # whether or not the full level of that order was built first.
+    monkeypatch.setattr(enumeration, "_REPS_CACHE", {})
+    for k in range(1, n + 1):
+        if full_first:
+            enumeration._level(structure, k)
+        narrow = [enumeration._level(structure, k, r) for r in RADII]
+        assert ((structure, k, None) in enumeration._REPS_CACHE) == full_first
+        full = enumeration._level(structure, k)
+        assert narrow == [_of_radius(full, r) for r in RADII], (structure, k)
 
 
 # One order per ``_TABLE`` row, small enough to build twice.
@@ -427,8 +490,10 @@ class TestEarlierParentSkip:
         assert widths == {(n, n.bit_length()) for n in range(2, 10)}
 
 
-def test_filter_metrics_computed_once_per_representative(monkeypatch):
-    calls = []
+def _count_eccentricities(monkeypatch) -> list[Graph]:
+    """Empty the metrics cache and record every graph whose eccentricities
+    enumeration reads from now on."""
+    calls: list[Graph] = []
     eccentricities = enumeration.eccentricities
 
     def counting_eccentricities(g):
@@ -437,11 +502,32 @@ def test_filter_metrics_computed_once_per_representative(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_METRICS_CACHE", {})
     monkeypatch.setattr(enumeration, "eccentricities", counting_eccentricities)
+    return calls
+
+
+def test_filter_metrics_computed_once_per_representative(monkeypatch):
+    # The full levels are built first, so the radius filter reads its top
+    # order from the full level too.
+    connected = [g for n in range(1, 9) for g in representatives("cactus", n) if is_connected(g)]
+    calls = _count_eccentricities(monkeypatch)
     first = list(enumerate_graphs(EnumerationFilter(max_n=8, structure="cactus", radius=2)))
     second = list(enumerate_graphs(EnumerationFilter(max_n=8, structure="cactus", diameter=3, connected=True)))
-    connected = [g for n in range(1, 9) for g in representatives("cactus", n) if is_connected(g)]
     assert len(calls) == len(connected)
     assert first and second
+
+
+def test_radius_level_shared_across_diameters(monkeypatch):
+    # From a clean cache two radius-2 filters that differ in diameter read
+    # one radius level at their top order, and its metrics once.
+    monkeypatch.setattr(enumeration, "_REPS_CACHE", {})
+    calls = _count_eccentricities(monkeypatch)
+    diam2 = list(enumerate_graphs(EnumerationFilter(max_n=8, structure="cactus", radius=2, diameter=2)))
+    diam3 = list(enumerate_graphs(EnumerationFilter(max_n=8, structure="cactus", radius=2, diameter=3)))
+    # lower orders are parent levels, read in full
+    assert ("cactus", 8, None) not in enumeration._REPS_CACHE and ("cactus", 7, 2) not in enumeration._REPS_CACHE
+    lower = [g for n in range(1, 8) for g in representatives("cactus", n) if is_connected(g)]
+    assert len(calls) == len(lower) + len(enumeration._level("cactus", 8, 2)[0])
+    assert diam2 and diam3
 
 
 def _partition(colors: list[int]) -> tuple[list, list[int]]:

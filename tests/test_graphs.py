@@ -31,6 +31,7 @@ from packcrit.graphs import (
     is_tree,
     leaves,
     radius,
+    radius_bits,
     twin_classes,
     universal_vertices,
 )
@@ -195,6 +196,23 @@ class TestBallMetrics:
     def test_is_connected_matches_components(self):
         for g in _metric_inputs():
             assert is_connected(g) == (len(components(g)) <= 1), g
+
+    def test_radius_bits_matches_radius(self):
+        # None exactly where radius raises: disconnected or empty graphs.
+        for g in _metric_inputs():
+            got = radius_bits(g.adjacency_bits())
+            reference = _outcome(reference_eccentricities, g)
+            if isinstance(reference, type):
+                assert got is None and _outcome(radius, g) is DisconnectedGraphError, g
+            else:
+                assert got == radius(g) == min(reference), g
+
+    def test_radius_bits_small_cases(self):
+        assert radius_bits(()) is None
+        assert radius_bits((0,)) == 0
+        assert radius_bits((0, 0)) is None
+        assert radius_bits(Graph(5, [(1, 2), (2, 3), (3, 1)]).adjacency_bits()) is None
+        assert radius_bits(P4.adjacency_bits()) == 2 and radius_bits(K13.adjacency_bits()) == 1
 
 
 def _assert_same_graph(got: Graph, want: Graph) -> None:

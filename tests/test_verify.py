@@ -9,7 +9,9 @@ import os
 
 import pytest
 
-from packcrit.enumeration import canonical_cert
+from packcrit import enumeration
+from packcrit.cli import main
+from packcrit.enumeration import canonical_cert, representatives
 from packcrit.errors import CharacterizationError, PreconditionError
 from packcrit.graphio import parse_graph6
 from packcrit.graphs import Graph
@@ -184,6 +186,34 @@ def test_records_pinned(theorem, corpus):
         sizes, *want = SWEEP_PINS[theorem]
         rep = run_sweep(theorem, **sizes)
     assert (rep.total, _records_digest(rep.records)) == tuple(want)
+
+
+def test_radius_level_leaves_records_and_stdout_unchanged(monkeypatch, capsys):
+    # From a clean cache the radius-2 cactus sweeps and a radius filtered
+    # ``packcrit enumerate`` read their top order from the radius level;
+    # with the full levels built first they read it in full.  Both give the
+    # same records (micros aside) and the same stdout.
+    def outputs():
+        assert main(["enumerate", "--cactus", "--rad", "2", "--max-n", "9"]) == 0
+        stdout = capsys.readouterr().out
+        records = {}
+        for theorem in ("teo3", "teo4", "lem-mainblock", "pro2"):
+            recs = run_sweep(theorem, jobs=1).records
+            records[theorem] = [{k: v for k, v in rec.items() if k != "micros"} for rec in recs]
+        return stdout, records
+
+    for cache in ("_REPS_CACHE", "_METRICS_CACHE"):
+        monkeypatch.setattr(enumeration, cache, {})
+    narrow = outputs()
+    assert {("cactus", 9, 2), ("cactus", 10, 2)} <= set(enumeration._REPS_CACHE)
+    assert ("cactus", 10, None) not in enumeration._REPS_CACHE
+    for cache in ("_REPS_CACHE", "_METRICS_CACHE"):
+        monkeypatch.setattr(enumeration, cache, {})
+    for n in range(1, 11):
+        representatives("cactus", n)
+    full = outputs()
+    assert all(r is None for _, _, r in enumeration._REPS_CACHE)
+    assert narrow == full and narrow[0] and all(narrow[1].values())
 
 
 @pytest.mark.parametrize("theorem", [t for t in ALL_IDS if t not in CORPUS_PINS])
