@@ -23,10 +23,10 @@ from .classify import (
 )
 from .criticality import is_edge_critical, is_vertex_critical
 from .enumeration import STRUCTURES, EnumerationFilter, enumerate_graphs, env_cap
-from .errors import GraphInputError, SpecSyntaxError
+from .errors import GraphInputError, PreconditionError, SpecSyntaxError
 from .families import SPEC_LETTERS, build, parse_spec
 from .graphio import emit_dot, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6, read_graph6_lines
-from .graphs import Graph, eccentricities, is_block_graph, is_cactus, is_connected
+from .graphs import Graph
 from .packing import chi_rho
 from .verify import THEOREMS, run_sweep
 
@@ -101,16 +101,14 @@ def cmd_critical(args) -> int:
 
 
 def _auto_classify(G: Graph) -> Optional[Verdict]:
-    if not is_connected(G) or G.n == 0:
-        return None
-    eccs = eccentricities(G)
-    rad, diam = min(eccs), max(eccs)
-    if rad == 1:
-        return classify_radius1(G)
-    if rad == 2 and diam <= 3 and is_cactus(G):
-        return classify_cactus_rad2_diam2(G) if diam == 2 else classify_cactus_rad2_diam3(G)
-    if is_block_graph(G) and diam == 3:
-        return block_graph_diam3_criterion(G)
+    """The verdict of the first classifier whose hypothesis G meets, or None
+    when it meets none.  Each classifier states its own hypothesis: a
+    ``PreconditionError`` means G lies outside it."""
+    for classify in (classify_radius1, classify_cactus_rad2_diam2, classify_cactus_rad2_diam3, block_graph_diam3_criterion):
+        try:
+            return classify(G)
+        except PreconditionError:
+            pass
     return None
 
 

@@ -133,7 +133,7 @@ class _LoweredOrbits:
         if self._orbits is None:
             if self._sig(vs) not in self._sigs:
                 return False
-            self._orbits = enumeration._MaskOrbits(enumeration._search(self._G, self._twin)[1])
+            self._orbits = enumeration._MaskOrbits(enumeration._search(self._G)[1])
             for ws in self._lowered:
                 self._orbits.add(_mask(ws))
         return _mask(vs) in self._orbits

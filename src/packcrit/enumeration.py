@@ -50,9 +50,11 @@ a candidate before any canonical labelling is computed.
 A filter with a radius needs only the classes of that radius at its top
 order, and no order above it is grown from that level.  So ``_level(s, n,
 radius)`` grows candidates from the full level n - 1 as the full level n
-does, and drops a candidate that ``_earlier_parent`` lets through whose
-radius (``graphs.radius_bits``, read off its bitmasks; a disconnected
-candidate has none) differs, before its certificate search.  Radius is an
+does, and drops a candidate that ``_earlier_parent`` lets through unless
+``graphs.has_radius`` holds for it at that radius, before its certificate
+search.  That check grows closed balls (``grow_balls``) for at most radius
+rounds, so a candidate of a larger radius costs no more than one of the
+kept radius, and it fails on a disconnected candidate.  Radius is an
 isomorphism invariant: every candidate of a class of that radius has it,
 so the first candidate of each such class is still searched and kept, and
 a dropped candidate's whole class is one the filter rejects.  The radius
@@ -65,12 +67,14 @@ that differ only in diameter or connectivity share one build, and those
 constraints still apply afterwards.
 
 A candidate is grown as adjacency bitmasks (the parent's plus the new
-vertex) and certified from those; a ``Graph`` is built only for the
-candidate a class keeps.  The certificate search that admits a candidate
-also returns its automorphism group's generators, and the level stores
-them beside the representative, so the next order extends it without
-searching again.  ``iso`` stays out of this path: it is the independent
-oracle the tests check the certificates against.
+vertex) and certified from those.  A ``Graph`` is built for the candidate a
+class keeps and, at a radius level, for the radius check, in both cases
+straight from the bitmasks (``_graph``) with no edge list to validate.
+The certificate search that admits a candidate also returns its
+automorphism group's generators, and the level stores them beside the
+representative, so the next order extends it without searching again.
+``iso`` stays out of this path: it is the independent oracle the tests
+check the certificates against.
 """
 
 from __future__ import annotations
@@ -87,11 +91,11 @@ from .graphs import (
     components,
     eccentricities,
     flood,
+    has_radius,
     is_block_graph,
     is_cactus,
     is_connected,
     is_tree,
-    radius_bits,
     twin_classes,
 )
 
@@ -287,17 +291,17 @@ def _individualize(
     return cells, color
 
 
-def _search(G: Graph, twin_class: Optional[list[int]] = None) -> tuple[int, list[list[int]]]:
+def _search(G: Graph) -> tuple[int, list[list[int]]]:
     """The individualization-refinement search behind ``canonical_cert``:
     the minimum adjacency code over the discrete leaves, and permutations
     (``perm[v]`` is the image of ``v``) that generate Aut(G).  See
     ``_search_bits``."""
-    return _search_bits(G.adjacency_bits(), twin_class)
+    return _search_bits(G.adjacency_bits())
 
 
-def _search_bits(adj: tuple[int, ...], twin_class: Optional[list[int]] = None) -> tuple[int, list[list[int]]]:
+def _search_bits(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
     """``_search`` on the graph whose vertex v has neighbor bitmask
-    ``adj[v]``; ``twin_class``, when given, is ``twin_classes(adj)``.
+    ``adj[v]``, its twin classes (``twin_classes``) read from ``adj``.
 
     Split the vertices by degree, refine that to an equitable partition
     (``_refine``), split the first non-singleton cell on every member in
@@ -325,8 +329,7 @@ def _search_bits(adj: tuple[int, ...], twin_class: Optional[list[int]] = None) -
     if n <= 1:
         return 0, []
     nbrs = tuple(map(_members, adj))
-    if twin_class is None:
-        twin_class = twin_classes(adj)
+    twin_class = twin_classes(adj)
     # the low-bit mask of each row's part above the diagonal
     above = [(1 << (n - 1 - p)) - 1 for p in range(n)]
     best: Optional[int] = None
@@ -596,7 +599,7 @@ def _level(structure: str, n: int, radius: Optional[int] = None) -> _Level:
                 adj = _grow(parent, mask)
                 if _earlier_parent(adj, w, last_rank, i, connected):
                     continue
-                if radius is not None and radius_bits(adj) != radius:
+                if radius is not None and not has_radius(_graph(adj), radius):
                     continue
                 cert, cand_gens = _search_bits(adj)
                 if cert not in kept:

@@ -187,6 +187,20 @@ def radius(G: Graph) -> int:
     return min(eccentricities(G))
 
 
+def has_radius(G: Graph, r: int) -> bool:
+    """Whether G is connected, non-empty and of radius ``r``: no closed ball
+    (``grow_balls``) is full after r - 1 rounds and one is after r.  It
+    grows at most r rounds; no ball of a disconnected or empty graph is
+    ever full, so it is False there."""
+    full = (1 << G.n) - 1
+    balls = [1 << v for v in range(G.n)]
+    for _ in range(r):
+        if full in balls:
+            return False
+        balls = grow_balls(G, balls)
+    return full in balls
+
+
 def diameter(G: Graph) -> int:
     return max(eccentricities(G))
 
@@ -303,31 +317,6 @@ def flood(bits: Sequence[int], mask: int, v: int) -> int:
         frontier = reach & mask & ~comp
         comp |= frontier
     return comp
-
-
-def radius_bits(bits: Sequence[int]) -> Optional[int]:
-    """The radius of the graph whose per-vertex neighbour bitmasks are
-    ``bits``, or None when it is disconnected or empty: the first round at
-    which some closed ball is full, each round joining every ball with its
-    neighbours' (as ``eccentricities`` grows them).  A round that grows no
-    ball before one is full means the graph is disconnected."""
-    n = len(bits)
-    full = (1 << n) - 1
-    balls = [1 << v for v in range(n)]
-    r = 0
-    while full not in balls:
-        grown = []
-        for b, a in zip(balls, bits):
-            while a:
-                low = a & -a
-                a ^= low
-                b |= balls[low.bit_length() - 1]
-            grown.append(b)
-        if grown == balls:
-            return None
-        balls = grown
-        r += 1
-    return r
 
 
 def is_connected(G: Graph) -> bool:

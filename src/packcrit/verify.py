@@ -43,6 +43,7 @@ from .graphs import (
     delete_vertex,
     diameter,
     eccentricities,
+    has_radius,
     induced_subgraph,
     is_connected,
     radius,
@@ -240,7 +241,7 @@ def _hub_payloads(cfg: dict) -> list[dict]:
     supplied corpus contributes its radius-1 graphs instead."""
     corpus = cfg["corpus"]
     if corpus is not None:
-        graphs = [g for g in corpus if g.n >= 2 and is_connected(g) and radius(g) == 1]
+        graphs = [g for g in corpus if has_radius(g, 1)]
     else:
         bases = enumerate_graphs(EnumerationFilter(max_n=cfg["base_max"]))
         graphs = [_hub_plus(b) for b in bases]

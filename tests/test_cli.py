@@ -4,9 +4,17 @@ import json
 
 import pytest
 
-from packcrit.cli import main
+from packcrit.classify import (
+    block_graph_diam3_criterion,
+    classify_cactus_rad2_diam2,
+    classify_cactus_rad2_diam3,
+    classify_radius1,
+)
+from packcrit.cli import _auto_classify, main
+from packcrit.enumeration import representatives
 from packcrit.errors import CharacterizationError
-from packcrit.graphio import parse_graph6
+from packcrit.graphio import emit_graph6, parse_graph6
+from packcrit.graphs import Graph, eccentricities, is_block_graph, is_cactus, is_connected
 from packcrit.verify import THEOREMS
 from test_verify import raising_row
 
@@ -99,6 +107,43 @@ class TestClassify:
     def test_check_agrees(self, capsys):
         code, out, _ = run(capsys, "classify", "W6", "--check")
         assert code == 0 and "agree" in out
+
+    def test_dispatch_matches_reference(self):
+        # Every graph to order 7 (the empty one too), cacti of order 8-10
+        # and block graphs of order 8-9: the same verdict, evidence or
+        # exception type as the reference dispatch.
+        corpus = [Graph(0)] + [g for n in range(1, 8) for g in representatives("all", n)]
+        corpus += [g for n in range(8, 11) for g in representatives("cactus", n)]
+        corpus += [g for n in range(8, 10) for g in representatives("block-graph", n)]
+        assert len(corpus) == 4677
+        for g in corpus:
+            assert _classify_outcome(_auto_classify, g) == _classify_outcome(_reference_classify, g), emit_graph6(g)
+
+
+def _reference_classify(G):
+    """The classifier choice stated outside the classifiers: by radius,
+    diameter, and the cactus and block-graph tests."""
+    if not is_connected(G) or G.n == 0:
+        return None
+    eccs = eccentricities(G)
+    rad, diam = min(eccs), max(eccs)
+    if rad == 1:
+        return classify_radius1(G)
+    if rad == 2 and diam <= 3 and is_cactus(G):
+        return classify_cactus_rad2_diam2(G) if diam == 2 else classify_cactus_rad2_diam3(G)
+    if is_block_graph(G) and diam == 3:
+        return block_graph_diam3_criterion(G)
+    return None
+
+
+def _classify_outcome(dispatch, G):
+    """The verdict with its evidence (which ``Verdict`` equality ignores),
+    or the type of the exception raised."""
+    try:
+        verdict = dispatch(G)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+    return None if verdict is None else (verdict, verdict.evidence)
 
 
 class TestVerify:

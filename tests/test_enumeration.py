@@ -36,7 +36,6 @@ from packcrit.graphs import (
     is_connected,
     is_tree,
     radius,
-    twin_classes,
 )
 from packcrit.iso import is_isomorphic
 from packcrit.verify import THEOREMS
@@ -330,9 +329,9 @@ def _count_searches(monkeypatch) -> list[tuple[int, ...]]:
     search enumeration makes from now on."""
     searched: list[tuple[int, ...]] = []
 
-    def counting_search_bits(adj, twin_class=None):
+    def counting_search_bits(adj):
         searched.append(adj)
-        return _search_bits(adj, twin_class)
+        return _search_bits(adj)
 
     monkeypatch.setattr(enumeration, "_REPS_CACHE", {})
     monkeypatch.setattr(enumeration, "_METRICS_CACHE", {})
@@ -635,13 +634,12 @@ class TestSearchMatchesReference:
 
     @pytest.mark.parametrize("theorem", ["teo1", "pro13"])
     def test_family_graphs(self, theorem):
-        # criticality searches these graphs, passing their twin classes
+        # criticality searches these graphs
         sweep = THEOREMS[theorem]
         for payload in sweep.payloads(dict(sweep.defaults, corpus=None)):
             adj = build(parse_spec(payload["spec"])).graph.adjacency_bits()
             expected = reference_search_bits(adj)
             assert _search_bits(adj) == expected, payload["spec"]
-            assert _search_bits(adj, twin_classes(adj)) == expected, payload["spec"]
 
 
 # (count, SHA-256) over the ordered lines "<graph6> <canonical_cert>" of

@@ -24,6 +24,7 @@ from packcrit.graphs import (
     delete_vertex,
     diameter,
     eccentricities,
+    has_radius,
     induced_subgraph,
     is_block_graph,
     is_cactus,
@@ -31,7 +32,6 @@ from packcrit.graphs import (
     is_tree,
     leaves,
     radius,
-    radius_bits,
     twin_classes,
     universal_vertices,
 )
@@ -197,22 +197,23 @@ class TestBallMetrics:
         for g in _metric_inputs():
             assert is_connected(g) == (len(components(g)) <= 1), g
 
+    # has_radius reads the radius off the bitmask balls.
     def test_radius_bits_matches_radius(self):
-        # None exactly where radius raises: disconnected or empty graphs.
+        # False at every r exactly where radius raises: disconnected or
+        # empty graphs.
         for g in _metric_inputs():
-            got = radius_bits(g.adjacency_bits())
-            reference = _outcome(reference_eccentricities, g)
-            if isinstance(reference, type):
-                assert got is None and _outcome(radius, g) is DisconnectedGraphError, g
-            else:
-                assert got == radius(g) == min(reference), g
+            rad = _outcome(radius, g)
+            assert rad is DisconnectedGraphError or isinstance(rad, int), g
+            for r in range(6):
+                assert has_radius(g, r) == (rad == r), (g, r)
 
     def test_radius_bits_small_cases(self):
-        assert radius_bits(()) is None
-        assert radius_bits((0,)) == 0
-        assert radius_bits((0, 0)) is None
-        assert radius_bits(Graph(5, [(1, 2), (2, 3), (3, 1)]).adjacency_bits()) is None
-        assert radius_bits(P4.adjacency_bits()) == 2 and radius_bits(K13.adjacency_bits()) == 1
+        triangle_plus_isolated = Graph(5, [(1, 2), (2, 3), (3, 1)])
+        for g in (Graph(0), Graph(2), triangle_plus_isolated):
+            assert not any(has_radius(g, r) for r in range(6)), g
+        assert has_radius(Graph(1), 0) and not has_radius(Graph(1), 1)
+        assert has_radius(P4, 2) and not has_radius(P4, 1) and not has_radius(P4, 3)
+        assert has_radius(K13, 1) and not has_radius(K13, 0) and not has_radius(K13, 2)
 
 
 def _assert_same_graph(got: Graph, want: Graph) -> None:
