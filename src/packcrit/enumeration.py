@@ -60,10 +60,12 @@ so the first candidate of each such class is still searched and kept, and
 a dropped candidate's whole class is one the filter rejects.  The radius
 level is therefore the full level's representatives of that radius, with
 the same certificates, generators and order.  ``enumerate_graphs`` reads it
-at the filter's top order only, unless the full level is already cached;
-lower orders are parent levels and stay full, and so does
-``representatives``.  The level is keyed on the radius alone, so filters
-that differ only in diameter or connectivity share one build, and those
+at the filter's top order only, whatever else the filter asks; lower orders
+are parent levels and stay full, and so does ``representatives``.  A filter
+with a radius accepts no disconnected graph, and a radius level holds none,
+so a filter that also asks for disconnected graphs yields nothing from
+either level.  The level is keyed on the radius alone, so filters that
+differ only in diameter or connectivity share one build, and those
 constraints still apply afterwards.
 
 A candidate is grown as adjacency bitmasks (the parent's plus the new
@@ -629,18 +631,12 @@ def enumerate_graphs(filt: EnumerationFilter) -> Iterator[Graph]:
     filter, in deterministic (order, canonical certificate) order.  An
     order past the structure's cap raises before anything is yielded.
 
-    A filter with a radius, not restricted to disconnected graphs, reads
-    its top order from the radius level unless the full level is already
-    cached; every lower order is a parent level and is read in full."""
+    A filter with a radius reads its top order from the radius level; every
+    lower order is a parent level and is read in full."""
     _check_cap(filt.structure, filt.max_n)
-    narrow_top = (
-        filt.radius is not None
-        and filt.connected is not False
-        and (filt.structure, filt.max_n, None) not in _REPS_CACHE
-    )
     for n in range(filt.min_n, filt.max_n + 1):
-        radius = filt.radius if narrow_top and n == filt.max_n else None
-        reps = representatives(filt.structure, n) if radius is None else _level(filt.structure, n, radius)[0]
+        radius = filt.radius if n == filt.max_n else None
+        reps = _level(filt.structure, n, radius)[0]
         if not filt._reads_metrics:
             yield from reps
             continue

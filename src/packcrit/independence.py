@@ -193,23 +193,19 @@ def haynes_check(G: Graph) -> bool:
     return all(oriented(u, v) and oriented(v, u) for u, v in G.edges())
 
 
-def _avoiding(bits: Sequence[int], allowed: int, a: int, memo: dict[int, int]) -> Optional[MisResult]:
-    """A maximum independent set (of size ``a``) inside ``allowed``, if any;
-    ``memo`` is shared by every call over ``bits``."""
+def mis_avoiding(G: Graph, forbidden: Iterable[int]) -> Optional[MisResult]:
+    """A maximum independent set of G disjoint from ``forbidden``, if any:
+    the lexicographically smallest one."""
+    bits = G.adjacency_bits()
+    full = (1 << G.n) - 1
+    allowed = full
+    for v in forbidden:
+        allowed &= ~(1 << v)
+    memo: dict[int, int] = {}
+    a = _mis_size(bits, full, memo)
     if _mis_size(bits, allowed, memo) != a:
         return None
     return MisResult(a, _lexmin_witness(bits, allowed, a, memo))
-
-
-def mis_avoiding(G: Graph, forbidden: Iterable[int]) -> Optional[MisResult]:
-    """A maximum independent set of G disjoint from ``forbidden``, if any."""
-    bits = G.adjacency_bits()
-    full = (1 << G.n) - 1
-    banned = 0
-    for v in forbidden:
-        banned |= 1 << v
-    memo: dict[int, int] = {}
-    return _avoiding(bits, full & ~banned, _mis_size(bits, full, memo), memo)
 
 
 def check_lemma_rad3(G: Graph) -> bool:
@@ -231,6 +227,6 @@ def check_lemma_rad3(G: Graph) -> bool:
     a = _mis_size(bits, full, memo)
     for x in range(G.n):
         for y in range(x + 1, G.n):
-            if dm[x, y] == 3 and _avoiding(bits, full & ~(1 << x) & ~(1 << y), a, memo) is None:
+            if dm[x, y] == 3 and _mis_size(bits, full & ~(1 << x) & ~(1 << y), memo) != a:
                 return False
     return True

@@ -3,8 +3,10 @@
 A k-packing coloring partitions the vertices into classes X_1..X_k where
 class X_i only holds vertices pairwise further apart than i.  The exact
 solver deepens k and searches with per-class capacity limits (the exact
-maximum i-packing sizes), distance-ball conflict masks, and
-interchangeable-high-color symmetry breaking.  A connected solve reads no
+maximum i-packing sizes) and distance-ball conflict masks for the colors
+below the diameter d.  The colors from d on hold one vertex each and are
+interchangeable, so the search keeps them as one counter of the high colors
+still free and opens them in increasing order.  A connected solve reads no
 distance table: the distance-<=i balls are bitmasks grown one distance at a
 time (``graphs.grow_balls``), and the first radius at which every ball is
 the whole graph is the diameter.  The ball masks and caps of color i are
@@ -214,11 +216,15 @@ def _search_k(classes: _ClassCaps, k: int) -> Optional[list[int]]:
 
     ``classes.capacity(k)`` has built every color below min(k + 1, d) for
     the diameter d, so ``len(masks)`` is d whenever k >= d - 1.  Vertices
-    are assigned in non-increasing degree order.  Colors i < ``len(masks)``
-    (low colors) check the distance-<=i ball mask and the exact class-size
-    cap; colors from there on (high colors) force singletons, and among the
-    currently empty ones only the smallest is ever tried (they are
-    interchangeable).
+    are assigned in non-increasing degree order.  The low colors 1..top,
+    top = min(k, d - 1), check the distance-<=i ball mask and the exact
+    class-size cap.  The high colors d..k hold one vertex each and are
+    interchangeable, so they are one counter, ``free_high``: they open in
+    increasing order, the used ones are d..k - free_high, and after the
+    low colors a vertex tries only the next one, k + 1 - free_high.  That
+    is the smallest empty high color, the one a search over every color
+    would try among them; a floor that is a high color is a used one, so
+    it never skips that color.
 
     Each low color keeps ``blocked[i]``, its members and every vertex
     within distance i of one, so the colors can bound what they still hold.
@@ -249,12 +255,12 @@ def _search_k(classes: _ClassCaps, k: int) -> Optional[list[int]]:
     masks, caps = classes.masks, classes.caps
     n = len(masks[0])
     d = len(masks)
-    low = tuple(range(1, min(k, d - 1) + 1))
-    capf = [0] + [caps[i] if i < d else 1 for i in range(1, k + 1)]
+    top = min(k, d - 1)
+    low = tuple(range(1, top + 1))
     order, prev = classes.plan
     colors = [0] * n + [1]  # colors[n] = 1: the floor of a vertex with no earlier twin
-    class_cnt = [0] * (k + 1)
-    blocked = [0] * (k + 1)
+    class_cnt = [0] * (top + 1)
+    blocked = [0] * (top + 1)
 
     def dfs(pos: int, uncolored: int, free_high: int) -> bool:
         if pos == n:
@@ -262,7 +268,7 @@ def _search_k(classes: _ClassCaps, k: int) -> Optional[list[int]]:
         room = free_high
         reach = 0
         for i in low:
-            spare = capf[i] - class_cnt[i]
+            spare = caps[i] - class_cnt[i]
             if spare:
                 open_i = uncolored & ~blocked[i]
                 reach |= open_i
@@ -273,28 +279,20 @@ def _search_k(classes: _ClassCaps, k: int) -> Optional[list[int]]:
         v = order[pos]
         vb = 1 << v
         rest = uncolored ^ vb
-        seen_empty_high = False
-        for i in range(colors[prev[v]], k + 1):
-            if class_cnt[i] >= capf[i]:
+        for i in range(colors[prev[v]], top + 1):
+            if class_cnt[i] >= caps[i] or blocked[i] & vb:
                 continue
-            if i >= d:
-                if seen_empty_high:
-                    continue
-                seen_empty_high = True
-                ball, high_left = vb, free_high - 1
-            elif blocked[i] & vb:
-                continue
-            else:
-                ball, high_left = masks[i][v] | vb, free_high
             before = blocked[i]
             colors[v] = i
-            blocked[i] |= ball
+            blocked[i] |= masks[i][v] | vb
             class_cnt[i] += 1
-            if dfs(pos + 1, rest, high_left):
+            if dfs(pos + 1, rest, free_high):
                 return True
             blocked[i] = before
             class_cnt[i] -= 1
-            colors[v] = 0
+        if free_high:
+            colors[v] = k + 1 - free_high
+            return dfs(pos + 1, rest, free_high - 1)
         return False
 
     try:

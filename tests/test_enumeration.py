@@ -505,13 +505,14 @@ def _count_eccentricities(monkeypatch) -> list[Graph]:
 
 
 def test_filter_metrics_computed_once_per_representative(monkeypatch):
-    # The full levels are built first, so the radius filter reads its top
-    # order from the full level too.
+    # The full levels are built first; the radius filter still reads its
+    # top order from the radius level, whose metrics are then read once
+    # beside the full levels'.
     connected = [g for n in range(1, 9) for g in representatives("cactus", n) if is_connected(g)]
     calls = _count_eccentricities(monkeypatch)
     first = list(enumerate_graphs(EnumerationFilter(max_n=8, structure="cactus", radius=2)))
     second = list(enumerate_graphs(EnumerationFilter(max_n=8, structure="cactus", diameter=3, connected=True)))
-    assert len(calls) == len(connected)
+    assert len(calls) == len(connected) + len(enumeration._level("cactus", 8, 2)[0])
     assert first and second
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from packcrit import criticality, independence, packing, verify
 from packcrit.enumeration import representatives
 from packcrit.errors import DisconnectedGraphError, PreconditionError
-from packcrit.families import build
+from packcrit.families import build, parse_spec
 from packcrit.graphs import Graph, components, delete_edge, delete_vertex, diameter, induced_subgraph, is_connected
 from packcrit.independence import alpha
 from packcrit.packing import (
@@ -302,6 +302,19 @@ def _same_search(G, k):
     return found
 
 
+def _same_searches(G):
+    """``_same_search`` on G at every k up to its value, which is the first
+    k it succeeds at, and on every component of every single-edge deletion
+    one color below it."""
+    value = chi_rho(G).value
+    for k in range(1, value + 1):
+        assert (_same_search(G, k) is not None) == (k == value), (G, k)
+    for e in G.edges():
+        sub = delete_edge(G, e)
+        for comp in components(sub):
+            _same_search(induced_subgraph(sub, comp)[0], value - 1)
+
+
 class TestRoomRefusals:
     def test_small_graphs_match_reference(self, connected_upto_7):
         for g in connected_upto_7:
@@ -336,18 +349,16 @@ class TestRoomRefusals:
 
     def test_c4_specs_match_reference(self):
         # The pro13 specs to order 10, which hold the pro16 ones: pendant
-        # leaves are open twins and pendant triangles closed twins.  Each
-        # graph at every k up to its value, and every component of every
-        # single-edge deletion one color below it.
+        # leaves are open twins and pendant triangles closed twins.
         for spec in verify._gqr_specs(2, 4, 10):
-            g = build(spec).graph
-            value = chi_rho(g).value
-            for k in range(1, value + 1):
-                _same_search(g, k)
-            for e in g.edges():
-                sub = delete_edge(g, e)
-                for comp in components(sub):
-                    _same_search(induced_subgraph(sub, comp)[0], value - 1)
+            _same_searches(build(spec).graph)
+
+    def test_many_high_colors_match_reference(self):
+        # Friendship graphs and wheels have diameter at most 2, so every
+        # color from 2 on is high.  In T1 = K3, T2, W4 = K4 and W5 the
+        # search reaches vertices whose twin floor is a high color.
+        for spec in [f"T{n}" for n in range(1, 11)] + [f"W{n}" for n in range(4, 15)]:
+            _same_searches(build(parse_spec(spec)).graph)
 
     def test_teo1_node_count_pinned(self):
         # Every deletion up to the witness, none skipped: the unpruned search
@@ -385,6 +396,14 @@ class TestRoomRefusals:
 
         assert (_dfs_nodes(sweep), len(calls)) == (14_843, 64)
         assert report.ok and report.total == 13
+
+    @pytest.mark.parametrize(("theorem", "nodes"), [("lemma7", 2_408), ("pro9", 15_944)])
+    def test_spec_sweep_node_count_pinned(self, theorem, nodes):
+        # Spec sweeps whose graphs open many high colors, so the nodes
+        # count how the search tries them.
+        reports = []
+        assert _dfs_nodes(lambda: reports.append(verify.run_sweep(theorem))) == nodes
+        assert reports[0].ok
 
 
 def _dfs_nodes(work) -> int:

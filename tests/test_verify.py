@@ -11,9 +11,9 @@ import pytest
 
 from packcrit import enumeration
 from packcrit.cli import main
-from packcrit.enumeration import canonical_cert, representatives
+from packcrit.enumeration import EnumerationFilter, canonical_cert, representatives
 from packcrit.errors import CharacterizationError, PreconditionError
-from packcrit.graphio import parse_graph6
+from packcrit.graphio import emit_graph6, parse_graph6
 from packcrit.graphs import Graph
 from packcrit.verify import THEOREMS, _decorations, run_sweep
 
@@ -190,30 +190,30 @@ def test_records_pinned(theorem, corpus):
 
 def test_radius_level_leaves_records_and_stdout_unchanged(monkeypatch, capsys):
     # From a clean cache the radius-2 cactus sweeps and a radius filtered
-    # ``packcrit enumerate`` read their top order from the radius level;
-    # with the full levels built first they read it in full.  Both give the
-    # same records (micros aside) and the same stdout.
-    def outputs():
-        assert main(["enumerate", "--cactus", "--rad", "2", "--max-n", "9"]) == 0
-        stdout = capsys.readouterr().out
-        records = {}
+    # ``packcrit enumerate`` read their top order from the radius level.
+    # The sweeps give the records (micros aside) of the same sweeps over the
+    # full cactus levels as a corpus, which ``EnumerationFilter.matches``
+    # filters graph by graph, and the stdout lists the full levels' radius-2
+    # graphs in order.
+    def records(**corpus):
+        out = {}
         for theorem in ("teo3", "teo4", "lem-mainblock", "pro2"):
-            recs = run_sweep(theorem, jobs=1).records
-            records[theorem] = [{k: v for k, v in rec.items() if k != "micros"} for rec in recs]
-        return stdout, records
+            recs = run_sweep(theorem, jobs=1, **corpus).records
+            out[theorem] = [{k: v for k, v in rec.items() if k != "micros"} for rec in recs]
+        return out
 
     for cache in ("_REPS_CACHE", "_METRICS_CACHE"):
         monkeypatch.setattr(enumeration, cache, {})
-    narrow = outputs()
+    assert main(["enumerate", "--cactus", "--rad", "2", "--max-n", "9"]) == 0
+    stdout = capsys.readouterr().out
+    narrow = records()
     assert {("cactus", 9, 2), ("cactus", 10, 2)} <= set(enumeration._REPS_CACHE)
     assert ("cactus", 10, None) not in enumeration._REPS_CACHE
-    for cache in ("_REPS_CACHE", "_METRICS_CACHE"):
-        monkeypatch.setattr(enumeration, cache, {})
-    for n in range(1, 11):
-        representatives("cactus", n)
-    full = outputs()
-    assert all(r is None for _, _, r in enumeration._REPS_CACHE)
-    assert narrow == full and narrow[0] and all(narrow[1].values())
+    full = [g for n in range(1, 11) for g in representatives("cactus", n)]
+    rad2 = EnumerationFilter(max_n=9, structure="cactus", radius=2)
+    assert stdout == "".join(emit_graph6(g) + "\n" for g in full if rad2.matches(g))
+    assert narrow == records(corpus=full)
+    assert stdout and all(narrow.values())
 
 
 @pytest.mark.parametrize("theorem", [t for t in ALL_IDS if t not in CORPUS_PINS])
