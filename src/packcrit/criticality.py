@@ -4,6 +4,12 @@ Edge criticality is decided by single-edge deletions, which is equivalent
 to full subgraph criticality for graphs without isolated vertices; inputs
 with isolated vertices are rejected rather than silently extended.
 
+No coloring is kept: the value of G and, for each deletion, whether it
+still fits within one color fewer are yes/no questions to the packing
+solver (``packing.fits_within``).  When G has diameter <= 2,
+``packing.Diameter2Edges`` answers the value and every edge deletion that
+keeps the diameter off one MIS memo of G, with no deletion graph built.
+
 Two deletions in one orbit of Aut(G) leave isomorphic graphs, so the
 verdict is searched once per orbit: a deletion in the orbit of one that
 already lowered the value is skipped.  Once two deletions have lowered
@@ -24,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 from . import enumeration
 from .errors import PreconditionError
 from .graphs import Edge, Graph, delete_edge, delete_vertex, radius, twin_classes
-from .packing import chi_rho, packs_within
+from .packing import Diameter2Edges, chi_rho, fits_within
 
 Deletion = Union[Edge, int]
 Deletions = Callable[[Graph], Iterator[tuple[Deletion, Graph]]]
@@ -144,29 +150,36 @@ def _mask(vs: tuple[int, ...]) -> int:
 
 
 def _deletion_report(G: Graph, deletions: _Deletions) -> CriticalityReport:
-    """Solve ``G`` once; the witness is the first deletion whose graph has no
-    packing coloring with one color fewer.
+    """Decide ``G``'s value once; the witness is the first deletion whose
+    graph has no packing coloring with one color fewer.
 
     Deletions never raise the value (distances only grow, so a packing
-    coloring of ``G`` stays one), so a single bounded search per deletion
+    coloring of ``G`` stays one), so one yes/no question per deletion
     decides whether it lowers the value, and the deletions after the
-    witness are never built.  Deletions run in order, and one in the orbit
-    of a deletion that already lowered the value is skipped: its graph is
-    isomorphic to that one's, so it lowers the value too.  The witness is
-    therefore never skipped, and the report is the one that searching every
-    deletion gives.
+    witness are never built.  At diameter <= 2 the value, and every edge
+    deletion that keeps the diameter, are read off G's MIS memo
+    (``packing.Diameter2Edges``); otherwise the value is ``chi_rho``'s and
+    each deletion is built and asked ``fits_within``.  Deletions run
+    in order, and one in the orbit of a deletion that already lowered the
+    value is skipped: its graph is isomorphic to that one's, so it lowers
+    the value too.  The witness is therefore never skipped, and the report
+    is the one that searching every deletion gives.
     """
-    base = chi_rho(G).value
+    diameter2 = Diameter2Edges.of(G) if deletions is _EDGES else None
+    k = (diameter2.value if diameter2 else chi_rho(G).value) - 1
     lowered = _LoweredOrbits(G, deletions.ends)
     witness = None
     for deletion in deletions.keys(G):
         if deletion in lowered:
             continue
-        if packs_within(deletions.apply(G, deletion), base - 1) is None:
+        fits = diameter2.fits(deletion, k) if diameter2 else None
+        if fits is None:
+            fits = fits_within(deletions.apply(G, deletion), k)
+        if not fits:
             witness = deletion
             break
         lowered.add(deletion)
-    return CriticalityReport(base, witness is None, witness, G, deletions)
+    return CriticalityReport(k + 1, witness is None, witness, G, deletions)
 
 
 def is_edge_critical(G: Graph) -> CriticalityReport:

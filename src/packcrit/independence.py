@@ -20,7 +20,9 @@ component, and the memoised answer on the rest of the mask is added.  The
 search is skipped when the branching vertex sees every other vertex of the
 mask, which is then connected.  A distance power of a path reduces
 without a single branch.  Witnesses are the lexicographically smallest
-maximum independent sets, so every result is reproducible.
+maximum independent sets, so every result is reproducible.  alpha(G - uv)
+for an edge uv is read off G's own memo as
+max(alpha(G), 2 + alpha(G - N[u] - N[v])), with no graph built per edge.
 """
 
 from __future__ import annotations
@@ -155,12 +157,27 @@ def max_independent_set(G: Graph) -> MisResult:
     return MisResult(a, _lexmin_witness(bits, full, a, memo))
 
 
-def _alpha_without_edge(G: Graph, e: Edge) -> int:
-    u, v = e
-    bits = list(G.adjacency_bits())
-    bits[u] &= ~(1 << v)
-    bits[v] &= ~(1 << u)
-    return mis_size_bits(bits, (1 << G.n) - 1)
+class EdgeAlphas:
+    """alpha(G) and, for each edge uv of G, alpha(G - uv), off one
+    ``_mis_size`` memo over G's bitmasks, with no graph built per edge.
+
+    An independent set of G - uv that misses u or v is one of G, and one
+    that holds both holds nothing else of N[u] and N[v], so
+    alpha(G - uv) = max(alpha(G), 2 + alpha(G - N[u] - N[v])).  As u and v
+    are adjacent in G, N[u] and N[v] together are N(u) and N(v) together.
+    """
+
+    def __init__(self, G: Graph):
+        self._nbr_bits = G.adjacency_bits()
+        self._full = (1 << G.n) - 1
+        self._memo: dict[int, int] = {}
+        self.alpha = _mis_size(self._nbr_bits, self._full, self._memo)
+
+    def without(self, e: Edge) -> int:
+        u, v = e
+        bits = self._nbr_bits
+        rest = self._full & ~(bits[u] | bits[v])
+        return max(self.alpha, 2 + _mis_size(bits, rest, self._memo))
 
 
 def is_alpha_critical(G: Graph) -> AlphaCriticality:
@@ -169,9 +186,9 @@ def is_alpha_critical(G: Graph) -> AlphaCriticality:
     Edgeless graphs are vacuously critical.  When not critical, the first
     (sorted) edge whose removal keeps alpha is returned as a witness.
     """
-    a = alpha(G)
+    alphas = EdgeAlphas(G)
     for e in G.edges():
-        if _alpha_without_edge(G, e) == a:
+        if alphas.without(e) == alphas.alpha:
             return AlphaCriticality(False, e)
     return AlphaCriticality(True, None)
 
@@ -206,6 +223,16 @@ def mis_avoiding(G: Graph, forbidden: Iterable[int]) -> Optional[MisResult]:
     if _mis_size(bits, allowed, memo) != a:
         return None
     return MisResult(a, _lexmin_witness(bits, allowed, a, memo))
+
+
+def every_vertex_avoidable(G: Graph) -> bool:
+    """Whether each vertex is missed by some maximum independent set: one
+    memo serves alpha and every vertex's avoiding maximum."""
+    bits = G.adjacency_bits()
+    full = (1 << G.n) - 1
+    memo: dict[int, int] = {}
+    a = _mis_size(bits, full, memo)
+    return all(_mis_size(bits, full & ~(1 << v), memo) == a for v in range(G.n))
 
 
 def check_lemma_rad3(G: Graph) -> bool:

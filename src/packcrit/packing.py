@@ -15,6 +15,13 @@ maximum independent set, and a k whose caps sum below |V| is skipped.  Inside th
 search a node is refused when its colors can no longer hold the uncolored
 vertices: a necessary condition for any completion, so the search still
 visits the surviving nodes in the same order and finds the same coloring.
+A yes/no question (``fits_within``) keeps no coloring, and with at most
+one color below the diameter it needs no search either: color 1 holds at
+most alpha vertices and every other color one, so the caps decide it.  At
+diameter <= 2 that rule reads the value |V| - alpha + 1, and
+``Diameter2Edges`` answers it for an edge deletion G - uv that keeps the
+diameter off G's own MIS memo (``independence.EdgeAlphas``), with no
+graph built.
 
 Twins (vertices with equal open or equal closed neighbourhoods) are
 interchangeable, and the search does not color them both ways round: each
@@ -36,10 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DisconnectedGraphError, PreconditionError
 from .graphs import (
+    Edge,
     Graph,
     all_pairs_distances,
     components,
@@ -49,7 +57,7 @@ from .graphs import (
     is_connected,
     twin_classes,
 )
-from .independence import alpha, mis_size_bits
+from .independence import EdgeAlphas, alpha, mis_size_bits
 
 
 @dataclass(frozen=True)
@@ -190,6 +198,15 @@ class _ClassCaps:
             self.caps.append(mis_size_bits(self.masks[-1], self.full))
         return sum(self.caps[: k + 1]) + max(0, k + 1 - len(self.caps))
 
+    def fits(self, k: int) -> bool:
+        """Whether the graph has a k-packing coloring.  With at most one low
+        color, top = min(k, d - 1) <= 1, color 1 holds an independent set of
+        at most caps[1] = alpha vertices and every other color one vertex,
+        so the caps decide it; otherwise the search does."""
+        if self.capacity(k) < self._G.n:
+            return False
+        return min(k, len(self.masks) - 1) <= 1 or _search_k(self, k) is not None
+
 
 def chi_rho_lower_bound(G: Graph) -> int:
     """Counting bound: classes below the diameter are capped by the exact
@@ -208,6 +225,52 @@ def diam2_formula(G: Graph) -> int:
     if diameter(G) != 2:
         raise PreconditionError("formula applies only at diameter 2")
     return G.n - alpha(G) + 1
+
+
+class Diameter2Edges:
+    """A graph G of diameter <= 2: its value and the edge deletions that
+    keep the diameter, read off G's bitmasks and one MIS memo.
+
+    At diameter <= 2 ``_ClassCaps.fits`` is decided by the caps: k colors
+    fit exactly when alpha + k - 1 >= |V|, so the value is |V| - alpha + 1.
+    A path of length <= 2 between x and y uses the edge uv only when x or
+    y is u or v, so G - uv keeps diameter <= 2 exactly when the closed
+    2-balls of u and v in G - uv are the whole graph, and the same rule
+    then decides it with alpha(G - uv) from ``EdgeAlphas``.
+    """
+
+    def __init__(self, G: Graph, closed: list[int]):
+        self._G = G
+        self._closed = closed
+        self._full = (1 << G.n) - 1
+        self._alphas = EdgeAlphas(G)
+        self.value = G.n - self._alphas.alpha + 1
+
+    @classmethod
+    def of(cls, G: Graph) -> Optional[Diameter2Edges]:
+        """The deciders of G's edge deletions, or None unless G (of order at
+        least two) has diameter <= 2: its closed 2-balls are all full."""
+        closed = [b | 1 << v for v, b in enumerate(G.adjacency_bits())]
+        full = (1 << G.n) - 1
+        if any(b != full for b in grow_balls(G, closed)):
+            return None
+        return cls(G, closed)
+
+    def _ball2_full(self, u: int, v: int) -> bool:
+        """Whether u's closed 2-ball in G - uv is the whole graph."""
+        ball = self._closed[u] ^ 1 << v
+        for w in self._G.neighbors(u):
+            if w != v:
+                ball |= self._closed[w]
+        return ball == self._full
+
+    def fits(self, e: Edge, k: int) -> Optional[bool]:
+        """Whether G - e fits within k colors, or None when G - e has
+        diameter above 2."""
+        u, v = e
+        if not (self._ball2_full(u, v) and self._ball2_full(v, u)):
+            return None
+        return self._alphas.without(e) + k - 1 >= self._G.n
 
 
 def _search_k(classes: _ClassCaps, k: int) -> Optional[list[int]]:
@@ -321,21 +384,28 @@ def _first_coloring(G: Graph, ks: Iterable[int]) -> Optional[list[int]]:
     return None
 
 
-def _by_component(G: Graph, ks: Iterable[int]) -> Optional[list[int]]:
-    """``_first_coloring(component, ks)`` on each component of non-empty G,
-    merged; None as soon as one component has none.  ``ks`` is iterated
-    once per component."""
+def _components(G: Graph) -> Iterator[tuple[Graph, Optional[dict[int, int]]]]:
+    """Each component of non-empty G with its old -> new labels, or G itself
+    with None when it is connected."""
     if G.n == 0:
         raise PreconditionError("packing chromatic number undefined on the empty graph")
     comps = components(G)
     if len(comps) == 1:
-        return _first_coloring(G, ks)
-    merged = [0] * G.n
+        yield G, None
+        return
     for comp in comps:
-        sub, relabel = induced_subgraph(G, comp)
+        yield induced_subgraph(G, comp)
+
+
+def _by_component(G: Graph, ks: Iterable[int]) -> Optional[list[int]]:
+    """``_first_coloring(component, ks)`` on each component of non-empty G,
+    merged; None as soon as one component has none.  ``ks`` is iterated
+    once per component."""
+    merged = [0] * G.n
+    for sub, relabel in _components(G):
         cols = _first_coloring(sub, ks)
-        if cols is None:
-            return None
+        if cols is None or relabel is None:
+            return cols
         for old, new in relabel.items():
             merged[old] = cols[new]
     return merged
@@ -349,6 +419,13 @@ def packs_within(G: Graph, k: int) -> Optional[list[int]]:
     skipped when the component's caps of colors 1..k sum below its order.
     """
     return _by_component(G, (k,))
+
+
+def fits_within(G: Graph, k: int) -> bool:
+    """Whether non-empty G has a packing coloring with colors in 1..k:
+    ``packs_within(G, k) is not None``, with no coloring kept and no search
+    where a component's caps decide it (``_ClassCaps.fits``)."""
+    return all(_ClassCaps(sub).fits(k) for sub, _ in _components(G))
 
 
 def chi_rho(G: Graph) -> ChiRho:

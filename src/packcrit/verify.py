@@ -52,9 +52,9 @@ from .graphs import (
 from .independence import (
     alpha,
     check_lemma_rad3,
+    every_vertex_avoidable,
     haynes_check,
     is_alpha_critical,
-    mis_avoiding,
 )
 from .packing import chi_rho
 
@@ -232,8 +232,10 @@ def _class(extra: Optional[Callable[[Graph], bool]] = None, **filter_args):
 
 
 def _hub_plus(base: Graph) -> Graph:
-    edges = base.edges() + [(v, base.n) for v in range(base.n)]
-    return Graph(base.n + 1, edges)
+    """``base`` with a new last vertex joined to all of it, built from its
+    rows: each keeps its order with the hub appended."""
+    n = base.n
+    return Graph._from_rows(tuple(base.neighbors(v) + (n,) for v in range(n)) + (tuple(range(n)),))
 
 
 def _hub_payloads(cfg: dict) -> list[dict]:
@@ -428,7 +430,7 @@ THEOREMS: dict[str, Sweep] = {sweep.theorem: sweep for sweep in (
     Sweep("cor-haynes", lambda c: (f"alpha-critical connected graphs n<={c[_MV]}: "
                                    "some maximum independent set avoids each vertex"),
           _class(lambda g: is_alpha_critical(g).critical, min_n=2, connected=True),
-          lambda G, _: (True, all(mis_avoiding(G, (v,)) is not None for v in range(G.n))), {_MV: 7}),
+          lambda G, _: (True, every_vertex_avoidable(G)), {_MV: 7}),
     Sweep("lem-rad3", lambda c: (f"alpha-critical graphs of radius>=3 (odd cycles to C{c[_MV]} plus enumerated): "
                                  "distance-3 pairs avoidable"),
           _lem_rad3_payloads, lambda G, _: (True, check_lemma_rad3(G)), {_MV: 11}),

@@ -2,14 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from packcrit import criticality, enumeration, verify
+from packcrit import criticality, enumeration, packing, verify
 from packcrit.criticality import has_leaf_violation, is_edge_critical, is_vertex_critical
 from packcrit.enumeration import representatives
 from packcrit.errors import PreconditionError
 from packcrit.families import build, parse_spec
-from packcrit.graphs import Graph, delete_edge, delete_vertex, is_tree
-from packcrit.packing import PackingColoring, chi_rho, packs_within, verify_packing_coloring
-from oracles import reference_deletion_report
+from packcrit.graphs import Graph, delete_edge, delete_vertex, diameter, is_connected, is_tree
+from packcrit.packing import Diameter2Edges, PackingColoring, chi_rho, fits_within, packs_within, verify_packing_coloring
+from oracles import brute_has_packing_coloring, reference_deletion_report
 
 
 def cycle(n):
@@ -142,26 +142,37 @@ class TestDecisionPath:
         assert (rep.base_chi_rho, rep.critical, rep.witness, rep.table) == pinned
 
     def test_w6_stops_at_first_witness(self, monkeypatch):
-        calls = {"chi_rho": 0, "packs_within": [], "delete_edge": 0}
+        # W6 has diameter 2, and so has W6 less its first edge, so its value
+        # and the one decision are read off W6's MIS memo: nothing is
+        # solved and no deletion graph is built.
+        calls = {"chi_rho": 0, "decisions": [], "fits_within": [], "delete_edge": 0}
+        memo_fits = Diameter2Edges.fits
 
         def counted_chi_rho(G):
             calls["chi_rho"] += 1
             return chi_rho(G)
 
-        def counted_packs_within(G, k):
-            calls["packs_within"].append((G, k))
-            return packs_within(G, k)
+        def counted_memo_fits(self, e, k):
+            calls["decisions"].append((e, k))
+            return memo_fits(self, e, k)
+
+        def counted_fits_within(G, k):
+            calls["fits_within"].append((G, k))
+            return fits_within(G, k)
 
         def counted_delete_edge(G, e):
             calls["delete_edge"] += 1
             return delete_edge(G, e)
 
         monkeypatch.setattr(criticality, "chi_rho", counted_chi_rho)
-        monkeypatch.setattr(criticality, "packs_within", counted_packs_within)
+        monkeypatch.setattr(Diameter2Edges, "fits", counted_memo_fits)
+        monkeypatch.setattr(criticality, "fits_within", counted_fits_within)
         monkeypatch.setattr(criticality, "delete_edge", counted_delete_edge)
         rep = is_edge_critical(wheel6())
         assert not rep.critical and rep.witness == (0, 1)
-        assert calls == {"chi_rho": 1, "packs_within": [(delete_edge(wheel6(), (0, 1)), 4)], "delete_edge": 1}
+        assert calls == {
+            "chi_rho": 0, "decisions": [((0, 1), 4)], "fits_within": [], "delete_edge": 0,
+        }
 
     def test_table_computed_once_on_read(self, monkeypatch):
         rep = is_edge_critical(wheel6())
@@ -209,6 +220,12 @@ class TestOrbitSkips:
         for payload in sweep.payloads(dict(sweep.defaults, corpus=None)):
             _same_as_reference(build(parse_spec(payload["spec"])).graph)
 
+    def test_hub_graphs_match_reference(self):
+        # The thm12 instances: a hub joined to every graph on <= 6 vertices.
+        sweep = verify.THEOREMS["thm12"]
+        for payload in sweep.payloads(dict(sweep.defaults, corpus=None)):
+            _same_as_reference(payload["graph"])
+
     @pytest.mark.parametrize("g, kind, witness", [
         (wheel6(), "edge", (0, 1)),
         (PAW, "edge", (0, 3)),  # (0, 2) lowers the value
@@ -222,3 +239,90 @@ class TestOrbitSkips:
         rep = is_vertex_critical(g) if kind == "vertex" else is_edge_critical(g)
         assert (rep.base_chi_rho, rep.critical, rep.witness) == reference_deletion_report(g, kind)
         assert rep.witness == witness
+
+
+def _same_decisions(g, brute=False):
+    """Every edge and vertex deletion of g, at one and two colors below g's
+    value, is decided as ``packs_within`` answers it: by ``fits_within``
+    and, where g has diameter <= 2, by the memo path, which answers exactly
+    the edge deletions that keep diameter <= 2.  With ``brute`` the answer
+    is also ``brute_has_packing_coloring``'s.  Returns how many edge
+    decisions the memo path made."""
+    base = chi_rho(g).value
+    diameter2 = Diameter2Edges.of(g) if g.edge_count else None
+    if diameter2 is not None:
+        assert is_connected(g) and diameter(g) <= 2 and diameter2.value == base, g
+    deletions = [(e, delete_edge(g, e)) for e in g.edges()]
+    if g.n >= 2:
+        deletions += [(v, delete_vertex(g, v)[0]) for v in range(g.n)]
+    memo_decisions = 0
+    for deletion, sub in deletions:
+        keeps_diameter = isinstance(deletion, tuple) and is_connected(sub) and diameter(sub) <= 2
+        for k in (base - 1, base - 2):
+            if k < 1:
+                continue
+            packs = packs_within(sub, k) is not None
+            assert fits_within(sub, k) == packs, (g, deletion, k)
+            if brute:
+                assert brute_has_packing_coloring(sub, k) == packs, (g, deletion, k)
+            if diameter2 is not None and isinstance(deletion, tuple):
+                decided = diameter2.fits(deletion, k)
+                assert (decided is not None) == keeps_diameter, (g, deletion)
+                assert decided in (None, packs), (g, deletion, k)
+                memo_decisions += decided is not None
+    return memo_decisions
+
+
+class TestDecisions:
+    """The yes/no questions criticality asks agree with the packing search."""
+
+    def test_connected_graphs_match_search_and_brute(self, connected_upto_7):
+        assert sum(_same_decisions(g, brute=True) for g in connected_upto_7) > 0
+
+    def test_hub_graphs_match_search(self):
+        hubs = [verify._hub_plus(b) for n in range(1, 8) for b in representatives("all", n)]
+        assert len(hubs) == 1_252
+        assert sum(_same_decisions(g) for g in hubs) > 0
+
+    def test_cacti_match_search(self):
+        for n in range(1, 10):
+            for g in representatives("cactus", n):
+                _same_decisions(g)
+
+    def test_friendship_graphs_and_wheels_match_search(self):
+        for spec in [f"T{n}" for n in range(1, 9)] + [f"W{n}" for n in range(4, 13)]:
+            _same_decisions(build(parse_spec(spec)).graph)
+
+    def test_one_low_color_runs_no_search(self, monkeypatch):
+        # Diameter 2, or a single color: the caps decide both ways.
+        def refuse(classes, k):
+            raise AssertionError("search run where the caps decide")
+
+        monkeypatch.setattr(packing, "_search_k", refuse)
+        assert fits_within(wheel6(), 5) and not fits_within(wheel6(), 4)
+        assert not fits_within(path(5), 1) and fits_within(Graph(3), 1)
+
+    @pytest.mark.parametrize(("theorem", "searches", "deletion_graphs"), [
+        ("thm12", 26, 35),
+        ("cor1", 62, 76),
+    ])
+    def test_sweep_search_and_deletion_counts_pinned(self, theorem, searches, deletion_graphs, monkeypatch):
+        # Solving each deletion graph's value and then its search one color
+        # below made 403 searches and built 382 deletion graphs on thm12, and
+        # 2,339 and 2,305 on cor1.
+        verify.run_sweep(theorem)  # the hub bases' enumeration levels
+        counts = {"searches": 0, "deletion_graphs": 0}
+        search_k = packing._search_k
+
+        def counted_search_k(classes, k):
+            counts["searches"] += 1
+            return search_k(classes, k)
+
+        def counted_delete_edge(G, e):
+            counts["deletion_graphs"] += 1
+            return delete_edge(G, e)
+
+        monkeypatch.setattr(packing, "_search_k", counted_search_k)
+        monkeypatch.setattr(criticality, "delete_edge", counted_delete_edge)
+        assert verify.run_sweep(theorem).ok
+        assert counts == {"searches": searches, "deletion_graphs": deletion_graphs}

@@ -12,6 +12,7 @@ from packcrit.graphs import Graph, all_pairs_distances, delete_edge
 from packcrit.independence import (
     alpha,
     check_lemma_rad3,
+    every_vertex_avoidable,
     haynes_check,
     is_alpha_critical,
     max_independent_set,
@@ -199,6 +200,18 @@ class TestAlphaCritical:
             assert a <= ae <= a + 1
 
 
+    def test_alpha_without_edge_matches_deletion(self, all_graphs_upto_6, connected_upto_7):
+        # alpha(G - e) off G's one memo equals the deleted graph's alpha,
+        # and the first edge that keeps alpha is the witness.
+        for g in all_graphs_upto_6 + connected_upto_7:
+            alphas = independence.EdgeAlphas(g)
+            assert alphas.alpha == alpha(g)
+            without = [alphas.without(e) for e in g.edges()]
+            assert without == [brute_alpha(delete_edge(g, e)) for e in g.edges()], g
+            keeps = next((e for e, a in zip(g.edges(), without) if a == alphas.alpha), None)
+            assert is_alpha_critical(g) == (keeps is None, keeps)
+
+
 class TestHaynes:
     def test_spot_values(self):
         assert haynes_check(cycle(5))
@@ -222,6 +235,13 @@ class TestMisAvoiding:
     def test_k2_endpoint(self):
         res = mis_avoiding(Graph(2, [(0, 1)]), (0,))
         assert res is not None and res.witness == {1}
+
+    def test_every_vertex_avoidable_is_each_vertex_avoided(self, all_graphs_upto_6):
+        for g in all_graphs_upto_6:
+            each = all(mis_avoiding(g, (v,)) is not None for v in range(g.n))
+            assert every_vertex_avoidable(g) == each, g
+        assert every_vertex_avoidable(cycle(5))
+        assert not every_vertex_avoidable(Graph(4, [(0, 1), (0, 2), (0, 3)]))
 
 
 class TestLemmaRad3:

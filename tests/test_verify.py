@@ -15,7 +15,7 @@ from packcrit.enumeration import EnumerationFilter, canonical_cert, representati
 from packcrit.errors import CharacterizationError, PreconditionError
 from packcrit.graphio import emit_graph6, parse_graph6
 from packcrit.graphs import Graph
-from packcrit.verify import THEOREMS, _decorations, run_sweep
+from packcrit.verify import THEOREMS, _decorations, _hub_plus, run_sweep
 
 ALL_IDS = [
     "pro4", "pro5", "pro6", "pro7", "pro8", "pro9", "pro10", "pro11", "pro12",
@@ -67,6 +67,15 @@ def test_decorations_are_the_brute_filter():
                 if all(k + m >= 1 for k, m in ps) and sum(k + 2 * m for k, m in ps) <= budget
             ]
             assert list(_decorations(q, budget)) == brute, (q, budget)
+
+
+def test_hub_plus_is_the_joined_graph():
+    # Built from the base's rows, it equals the validated edge-list build.
+    for n in range(1, 8):
+        for base in representatives("all", n):
+            hub = _hub_plus(base)
+            joined = Graph(n + 1, base.edges() + [(v, n) for v in range(n)])
+            assert hub == joined and hub.adjacency_bits() == joined.adjacency_bits()
 
 
 def test_smaller_scale_sweeps_pass():
