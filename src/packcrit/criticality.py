@@ -10,22 +10,29 @@ solver (``packing.fits_within``).  When G has diameter <= 2,
 ``packing.Diameter2Edges`` answers the value and every edge deletion that
 keeps the diameter off one MIS memo of G, with no deletion graph built.
 
+The verdict stops at the first deletion that keeps the value, and it asks
+the cheap questions first: the memo's, in order, and then the others, those
+touching a vertex of least degree first.  A critical graph has few leaves
+(at radius 1 none, beyond K2), so a leaf's deletion is the likeliest to
+keep the value.  The witness, the first such deletion in order, is found
+only when read.
+
 Two deletions in one orbit of Aut(G) leave isomorphic graphs, so the
-verdict is searched once per orbit: a deletion in the orbit of one that
-already lowered the value is skipped.  Once two deletions have lowered
-the value, the group is the twin group (a product of symmetric groups, read
-off the neighborhoods in closed form) until a deletion outside its orbits
-has a lowered one's degree signature; only then does the certificate search
-of ``enumeration`` run, once, for generators of the whole group (B. D.
-McKay and A. Piperno, "Practical graph isomorphism, II", J. Symbolic
-Comput. 60, 2014).
+verdict is searched once per orbit: a deletion to be built that lies in
+the orbit of one that already lowered the value is skipped.  Once two
+deletions have lowered the value, the group is the twin group (a product
+of symmetric groups, read off the neighborhoods in closed form) until a
+deletion outside its orbits has a lowered one's degree signature; only
+then does the certificate search of ``enumeration`` run, once, for
+generators of the whole group (B. D. McKay and A. Piperno, "Practical
+graph isomorphism, II", J. Symbolic Comput. 60, 2014).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import enumeration
 from .errors import PreconditionError
@@ -33,24 +40,44 @@ from .graphs import Edge, Graph, delete_edge, delete_vertex, radius, twin_classe
 from .packing import Diameter2Edges, chi_rho, fits_within
 
 Deletion = Union[Edge, int]
-Deletions = Callable[[Graph], Iterator[tuple[Deletion, Graph]]]
 
 
 @dataclass(frozen=True)
 class CriticalityReport:
-    """Verdict, with the full per-deletion table of packing chromatic values
-    on demand.
+    """Verdict, with the witness and the full per-deletion table of packing
+    chromatic values on demand.
 
-    ``witness`` names a deletion that fails to lower the value (present
-    exactly when the graph is not critical).  ``table`` solves every
-    deletion from scratch, so it is computed only when first read.
+    ``witness`` is the first deletion, in the order ``deletions`` yields
+    them, that fails to lower the value (present exactly when the graph is
+    not critical).  The verdict decides deletions in its own order, so the
+    witness is found when first read: the scan reuses every answer the
+    verdict recorded and the orbits it saw lowered, and decides the rest.
+    ``table`` solves every deletion from scratch, so it too is computed
+    only when first read.
     """
 
     base_chi_rho: int
     critical: bool
-    witness: Optional[Deletion]
     graph: Graph = field(repr=False, compare=False)
-    deletions: Deletions = field(repr=False, compare=False)
+    deletions: _Deletions = field(repr=False, compare=False)
+    _kept: Optional[_Kept] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> Optional[Deletion]:
+        if self._kept is None:
+            return None
+        stop, postponed, answers, lowered = self._kept
+        for deletion in postponed:
+            fits = answers.get(deletion)
+            if fits is None:
+                if deletion in lowered:
+                    continue
+                fits = fits_within(self.deletions.apply(self.graph, deletion), self.base_chi_rho - 1)
+                if fits:
+                    lowered.add(deletion)
+            if not fits:
+                return deletion
+        return stop
 
     @cached_property
     def table(self) -> tuple[tuple[Deletion, int], ...]:
@@ -59,9 +86,9 @@ class CriticalityReport:
 
 class _Deletions(NamedTuple):
     """One kind of single deletion.  Called on a graph, it yields each
-    deletion, in order, with the graph it leaves, as ``Deletions`` do."""
+    deletion, in order, with the graph it leaves."""
 
-    keys: Callable[[Graph], Iterable[Deletion]]
+    keys: Callable[[Graph], Sequence[Deletion]]
     apply: Callable[[Graph, Deletion], Graph]
     ends: Callable[[Deletion], tuple[int, ...]]  # the vertices it touches
 
@@ -80,7 +107,7 @@ class _LoweredOrbits:
     the value, as far as they are cheap to know.
 
     Nothing is set up until two deletions have lowered the value, so a
-    graph whose witness comes early pays nothing.  Then the twin classes
+    verdict that stops early pays nothing.  Then the twin classes
     give the twin group's orbits in closed form: it is a product of
     symmetric groups, so a deletion's orbit is named by its vertices' class
     multiset.  A deletion outside those orbits can still lie in an orbit of
@@ -149,37 +176,70 @@ def _mask(vs: tuple[int, ...]) -> int:
     return sum(1 << v for v in vs)
 
 
+class _Kept(NamedTuple):
+    """What the witness scan needs of a verdict that found a deletion
+    keeping the value."""
+
+    stop: Deletion  # the deletion the verdict stopped at
+    postponed: Sequence[Deletion]  # the deletions the memo left, in order
+    answers: dict[Deletion, bool]  # the second pass's answers for them
+    lowered: _LoweredOrbits
+
+
 def _deletion_report(G: Graph, deletions: _Deletions) -> CriticalityReport:
-    """Decide ``G``'s value once; the witness is the first deletion whose
-    graph has no packing coloring with one color fewer.
+    """Decide ``G``'s value once, then whether some deletion's graph still
+    has no packing coloring with one color fewer.
 
     Deletions never raise the value (distances only grow, so a packing
     coloring of ``G`` stays one), so one yes/no question per deletion
-    decides whether it lowers the value, and the deletions after the
-    witness are never built.  At diameter <= 2 the value, and every edge
-    deletion that keeps the diameter, are read off G's MIS memo
-    (``packing.Diameter2Edges``); otherwise the value is ``chi_rho``'s and
-    each deletion is built and asked ``fits_within``.  Deletions run
-    in order, and one in the orbit of a deletion that already lowered the
-    value is skipped: its graph is isomorphic to that one's, so it lowers
-    the value too.  The witness is therefore never skipped, and the report
-    is the one that searching every deletion gives.
+    decides whether it lowers the value, and the report stops at the first
+    that does not.  At diameter <= 2 the value, and every edge deletion
+    that keeps the diameter, are read off G's MIS memo
+    (``packing.Diameter2Edges``), in order and with no graph built;
+    otherwise the value is ``chi_rho``'s.  Every other deletion is then
+    built and asked ``fits_within``, those touching a vertex of least
+    degree first (a leaf's deletion is the likeliest to keep the value),
+    ties in order.  A built deletion in the orbit of one that already
+    lowered the value is skipped: its graph is isomorphic to that one's,
+    so it lowers the value too.  That holds in any order, so the verdict
+    is the one that searching every deletion gives.  The memo's answers
+    are not skipped, as they cost less than the orbit test, which may run
+    a certificate search.
+
+    The witness scan needs only the deletions the memo left, in order, and
+    the answers they got: every other deletion the memo pass reached
+    lowered the value.  The list is allocated when the memo first leaves
+    one, and the answers when the second pass starts.
     """
     diameter2 = Diameter2Edges.of(G) if deletions is _EDGES else None
     k = (diameter2.value if diameter2 else chi_rho(G).value) - 1
     lowered = _LoweredOrbits(G, deletions.ends)
-    witness = None
-    for deletion in deletions.keys(G):
+    postponed: Optional[Sequence[Deletion]] = None
+    if diameter2:
+        for deletion in deletions.keys(G):
+            fits = diameter2.fits(deletion, k)
+            if fits is None:
+                if postponed is None:
+                    postponed = []
+                postponed.append(deletion)
+            elif not fits:
+                return CriticalityReport(k + 1, False, G, deletions, _Kept(deletion, postponed or (), {}, lowered))
+            else:
+                lowered.add(deletion)
+        if postponed is None:
+            return CriticalityReport(k + 1, True, G, deletions)
+    else:
+        postponed = deletions.keys(G)
+    answers: dict[Deletion, bool] = {}
+    ends, degree = deletions.ends, G.degree
+    for deletion in sorted(postponed, key=lambda d: min(map(degree, ends(d)))):
         if deletion in lowered:
             continue
-        fits = diameter2.fits(deletion, k) if diameter2 else None
-        if fits is None:
-            fits = fits_within(deletions.apply(G, deletion), k)
+        fits = answers[deletion] = fits_within(deletions.apply(G, deletion), k)
         if not fits:
-            witness = deletion
-            break
+            return CriticalityReport(k + 1, False, G, deletions, _Kept(deletion, postponed, answers, lowered))
         lowered.add(deletion)
-    return CriticalityReport(k + 1, witness is None, witness, G, deletions)
+    return CriticalityReport(k + 1, True, G, deletions)
 
 
 def is_edge_critical(G: Graph) -> CriticalityReport:

@@ -249,11 +249,15 @@ class Diameter2Edges:
     @classmethod
     def of(cls, G: Graph) -> Optional[Diameter2Edges]:
         """The deciders of G's edge deletions, or None unless G (of order at
-        least two) has diameter <= 2: its closed 2-balls are all full."""
+        least two) has diameter <= 2: its closed 2-balls are all full.  The
+        test stops at the first vertex whose 2-ball is not."""
         closed = [b | 1 << v for v, b in enumerate(G.adjacency_bits())]
         full = (1 << G.n) - 1
-        if any(b != full for b in grow_balls(G, closed)):
-            return None
+        for v, ball in enumerate(closed):
+            for w in G.neighbors(v):
+                ball |= closed[w]
+            if ball != full:
+                return None
         return cls(G, closed)
 
     def _ball2_full(self, u: int, v: int) -> bool:

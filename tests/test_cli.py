@@ -76,6 +76,13 @@ class TestCritical:
         code, out, _ = run(capsys, "critical", "W6")
         assert code == 0 and out == "chi_rho = 5\nnot critical; witness edge: (0, 1) keeps chi_rho at 5\n"
 
+    @pytest.mark.parametrize(("flags", "witness"), [((), "edge: (0, 5)"), (("--vertex",), "vertex: 5")])
+    def test_witness_first_in_order(self, capsys, flags, witness):
+        # The verdict decides the leaf's deletion before those that come
+        # first in order; the witness printed is still the first in order.
+        code, out, _ = run(capsys, "critical", "G2^5(1,0;1,0)", *flags)
+        assert code == 0 and out == f"chi_rho = 4\nnot critical; witness {witness} keeps chi_rho at 4\n"
+
     def test_h_family(self, capsys):
         code, out, _ = run(capsys, "critical", "H(0,2;2,0)")
         assert code == 0 and "not critical" not in out

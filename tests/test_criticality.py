@@ -174,6 +174,29 @@ class TestDecisionPath:
             "chi_rho": 0, "decisions": [((0, 1), 4)], "fits_within": [], "delete_edge": 0,
         }
 
+    @pytest.mark.parametrize(("kind", "witness", "scan"), [
+        ("edge", (0, 5), 2),
+        ("vertex", 5, 4),
+    ])
+    def test_witness_decided_when_read(self, kind, witness, scan, monkeypatch):
+        # G2^5(1,0;1,0) has leaves 5 and 6.  The verdict decides the first
+        # leaf's deletion first and stops there; reading the witness then
+        # decides the deletions before it in order, which all lower the
+        # value, and reuses the verdict's answer for the leaf's.
+        g = build(parse_spec("G2^5(1,0;1,0)")).graph
+        decisions = []
+
+        def counted(G, k):
+            decisions.append(k)
+            return fits_within(G, k)
+
+        monkeypatch.setattr(criticality, "fits_within", counted)
+        rep = is_vertex_critical(g) if kind == "vertex" else is_edge_critical(g)
+        assert not rep.critical and len(decisions) == 1
+        assert rep.witness == witness and len(decisions) == 1 + scan
+        assert rep.witness == witness and len(decisions) == 1 + scan  # read once
+        assert (rep.base_chi_rho, rep.critical, rep.witness) == reference_deletion_report(g, kind)
+
     def test_table_computed_once_on_read(self, monkeypatch):
         rep = is_edge_critical(wheel6())
         solved = []
@@ -303,13 +326,17 @@ class TestDecisions:
         assert not fits_within(path(5), 1) and fits_within(Graph(3), 1)
 
     @pytest.mark.parametrize(("theorem", "searches", "deletion_graphs"), [
-        ("thm12", 26, 35),
-        ("cor1", 62, 76),
+        ("thm12", 7, 27),
+        ("cor1", 16, 48),
     ])
     def test_sweep_search_and_deletion_counts_pinned(self, theorem, searches, deletion_graphs, monkeypatch):
         # Solving each deletion graph's value and then its search one color
         # below made 403 searches and built 382 deletion graphs on thm12, and
-        # 2,339 and 2,305 on cor1.
+        # 2,339 and 2,305 on cor1.  Deciding the deletions in edge order
+        # made 26 and 35 on thm12 and 62 and 76 on cor1.  The deletions the
+        # MIS memo leaves now run leaf deletions first, and each hub graph
+        # with a leaf that gets that far, K2 aside, stops at the first graph
+        # built: 19 on thm12 and 32 on cor1.
         verify.run_sweep(theorem)  # the hub bases' enumeration levels
         counts = {"searches": 0, "deletion_graphs": 0}
         search_k = packing._search_k
