@@ -146,6 +146,16 @@ class FamilySpec:
     def q(self) -> int:
         return len(self.pairs)
 
+    def mirror(self) -> FamilySpec:
+        """The spec read from the other end of its main block: Gqr's pairs
+        reversed, H's two pairs swapped, any other kind itself.  It builds a
+        graph isomorphic to this spec's: the reflection x -> q - 1 - x
+        (mod r) of C_r, or the swap of H's two hubs, maps the i-th decorated
+        vertex onto the (q + 1 - i)-th."""
+        if self.kind in _SIMPLE:
+            return self
+        return FamilySpec(self.kind, r=self.r, pairs=self.pairs[::-1])
+
     def vertex_count(self) -> int:
         if self.kind in _SIMPLE:
             return _SIMPLE[self.kind].order(self.n)

@@ -24,3 +24,8 @@ def graphs(draw, min_n: int = 1, max_n: int = 8, connected_bias: bool = False):
 def permutations_of(draw, n: int):
     perm = draw(st.permutations(list(range(n))))
     return list(perm)
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """``g`` with vertex v renamed ``perm[v]``."""
+    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])

@@ -5,9 +5,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packcrit.classify import classify_cactus_rad2_diam3
 from packcrit.criticality import is_edge_critical
+from packcrit.enumeration import canonical_cert
 from packcrit.errors import SpecSyntaxError
 from packcrit.families import (
     FamilySpec,
@@ -51,6 +54,22 @@ def decorated_specs(max_v):
         for q in range(1, r + 1):
             yield from (gqr(r, *pairs) for pairs in decorations(q, max_v - r))
     yield from (hspec(*pairs) for pairs in decorations(2, max_v - 2))
+
+
+@st.composite
+def drawn_decorated_spec(draw, max_v: int = 16):
+    """A Gqr spec (r in {3, 4, 5}, 1 <= q <= r) or an H spec on at most
+    ``max_v`` vertices."""
+    r, q = draw(st.sampled_from([(r, q) for r in (3, 4, 5) for q in range(1, r + 1)] + [(0, 2)]))
+    budget = max_v - (r or 2)
+    pairs = []
+    for i in range(q):
+        room = budget - (q - 1 - i)  # every later pair keeps one pendant vertex
+        m = draw(st.integers(0, room // 2))
+        k = draw(st.integers(0 if m else 1, room - 2 * m))
+        budget -= k + 2 * m
+        pairs.append((k, m))
+    return FamilySpec("gqr", r=r, pairs=tuple(pairs)) if r else hspec(*pairs)
 
 
 class TestGrammar:
@@ -125,6 +144,21 @@ class TestBuild:
     def test_wheel_is_hub_plus_cycle(self):
         g = build(parse_spec("W6")).graph
         assert g.degree(0) == 5 and sorted(g.degree(v) for v in range(1, 6)) == [3] * 5
+
+
+class TestMirror:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_decorated_spec())
+    def test_mirror_builds_an_isomorphic_graph(self, spec):
+        mirror = spec.mirror()
+        assert mirror.kind == spec.kind and mirror.r == spec.r
+        assert mirror.pairs == spec.pairs[::-1] and mirror.mirror() == spec
+        assert canonical_cert(build(spec).graph) == canonical_cert(build(mirror).graph)
+
+    @pytest.mark.parametrize("text", ["T3", "C5", "P4", "K7", "K1,3", "W6"])
+    def test_simple_kinds_are_their_own_mirror(self, text):
+        spec = parse_spec(text)
+        assert spec.mirror() == spec
 
 
 class TestClosedForms:

@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 
 from packcrit.graphs import Graph
 from packcrit.iso import find_isomorphism, is_isomorphic
-from strategies import graphs
+from strategies import graphs, relabel
 
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-
-
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
 
 
 def test_c5_relabelings():

@@ -404,15 +404,25 @@ class TestRoomRefusals:
         assert (_dfs_nodes(sweep), len(calls)) == (14_168, 72)
         assert report.ok and report.total == 13
 
-    @pytest.mark.parametrize(("theorem", "nodes"), [("lemma7", 2_408), ("pro9", 4_232)])
+    @pytest.mark.parametrize(("theorem", "nodes"), [("lemma7", 2_408), ("pro9", 2_206)])
     def test_spec_sweep_node_count_pinned(self, theorem, nodes):
         # Spec sweeps whose graphs open many high colors, so the nodes
         # count how the search tries them.  pro9 read 15,944 while edge
         # criticality decided its deletions in edge order; now 78 of its
-        # 81 graphs stop at the first deletion built, a leaf's.
+        # 81 graphs stop at the first deletion built, a leaf's, and the
+        # sweep decides only one graph of each of its 43 mirror classes.
+        # lemma7's classes are single specs.
         reports = []
         assert _dfs_nodes(lambda: reports.append(verify.run_sweep(theorem))) == nodes
         assert reports[0].ok
+
+    def test_pro9_per_member_node_count_pinned(self):
+        # With the oracle run on every one of pro9's 81 graphs.
+        sweep = verify.THEOREMS["pro9"]
+        payloads = sweep.payloads(dict(sweep.defaults, theorem="pro9", corpus=None))
+        records = []
+        assert _dfs_nodes(lambda: records.extend(verify.evaluate_payload("pro9", p) for p in payloads)) == 4_232
+        assert len(records) == 81 and all(r["agree"] for r in records)
 
 
 def _dfs_nodes(work) -> int:

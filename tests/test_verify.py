@@ -8,14 +8,18 @@ import multiprocessing
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packcrit import enumeration
 from packcrit.cli import main
 from packcrit.enumeration import EnumerationFilter, canonical_cert, representatives
 from packcrit.errors import CharacterizationError, PreconditionError
+from packcrit.families import build, parse_spec
 from packcrit.graphio import emit_graph6, parse_graph6
 from packcrit.graphs import Graph
-from packcrit.verify import THEOREMS, _decorations, _hub_plus, run_sweep
+from packcrit.verify import THEOREMS, _decorations, _hub_plus, evaluate_payload, run_sweep
+from strategies import permutations_of, relabel
 
 ALL_IDS = [
     "pro4", "pro5", "pro6", "pro7", "pro8", "pro9", "pro10", "pro11", "pro12",
@@ -180,6 +184,10 @@ CORPUS_PINS = {
     "pro3": (7, "dc7e66e686247c9efffbe77b05f3e08e38163d9fb73ec665a8b2425afe6ab287"),
 }
 
+# The sweeps whose payloads are family specs: every generated sweep but
+# lem-rad3, whose payloads are graphs.
+SPEC_IDS = [t for t in ALL_IDS if t not in CORPUS_PINS and t != "lem-rad3"]
+
 
 @pytest.mark.parametrize(
     "theorem,corpus",
@@ -195,6 +203,8 @@ def test_records_pinned(theorem, corpus):
         sizes, *want = SWEEP_PINS[theorem]
         rep = run_sweep(theorem, **sizes)
     assert (rep.total, _records_digest(rep.records)) == tuple(want)
+    if theorem not in SPEC_IDS:
+        assert rep.oracle_runs == rep.total  # every graph payload is a class of its own
 
 
 def test_radius_level_leaves_records_and_stdout_unchanged(monkeypatch, capsys):
@@ -243,14 +253,14 @@ RECORD_KEYS = {"theorem", "instance_g6", "spec", "predicted", "oracle", "agree",
 
 
 def raising_row(exc: Exception):
-    """lemma1's row with an evaluator that raises ``exc`` on C5."""
+    """lemma1's row with an oracle that raises ``exc`` on C5."""
 
-    def evaluate(G, spec):
-        if spec.n == 5:
+    def oracle(G):
+        if G.n == 5:
             raise exc
-        return True, True
+        return True
 
-    return dataclasses.replace(THEOREMS["lemma1"], evaluate=evaluate)
+    return dataclasses.replace(THEOREMS["lemma1"], oracle=oracle)
 
 
 @pytest.mark.parametrize("exc", [CharacterizationError("no main block"), PreconditionError("not a cactus")])
@@ -318,3 +328,111 @@ def test_graph_payloads_cross_to_workers(monkeypatch):
     for rec in one + two:
         del rec["micros"]
     assert one == two
+
+
+def _payloads(theorem: str, **sizes) -> list[dict]:
+    sweep = THEOREMS[theorem]
+    return sweep.payloads(dict(sweep.defaults, **sizes, theorem=theorem, corpus=None))
+
+
+def _without_micros(records: list[dict]) -> list[dict]:
+    return sorted(
+        ({k: v for k, v in rec.items() if k != "micros"} for rec in records),
+        key=lambda r: (r["instance_g6"], r["spec"] or ""),
+    )
+
+
+@pytest.mark.parametrize("theorem", SPEC_IDS)
+def test_mirror_classes_are_the_isomorphism_classes(theorem):
+    # At the default size a payload's class holds its spec and the spec's
+    # mirror, and two payloads share a class exactly when their graphs share
+    # a canonical certificate.
+    cert_of_class = {}
+    for p in _payloads(theorem):
+        spec = parse_spec(p["spec"])
+        assert p["class"] == min(p["spec"], str(spec.mirror()))
+        cert_of_class.setdefault(p["class"], set()).add(canonical_cert(build(spec).graph))
+    assert all(len(certs) == 1 for certs in cert_of_class.values())
+    assert len(set.union(*cert_of_class.values())) == len(cert_of_class)
+
+
+# spec sweep -> oracle calls at its default size, one per mirror class (the
+# record counts are 186, 81, 265, 126, 92 and 65).
+ORACLE_RUNS = {"pro8": 97, "pro9": 43, "pro12": 138, "pro13": 67, "pro16": 47, "pro15": 35}
+
+
+@pytest.mark.parametrize("theorem", list(ORACLE_RUNS))
+def test_oracle_runs_once_per_mirror_class(theorem):
+    rep = run_sweep(theorem)
+    assert rep.ok and rep.oracle_runs == ORACLE_RUNS[theorem]
+    assert 0 <= rep.payload_s <= rep.wall_time_s
+
+
+@pytest.mark.parametrize("theorem", SPEC_IDS)
+def test_class_once_matches_per_member_evaluation(theorem):
+    # Running the oracle on every member gives the same records.
+    sizes = SWEEP_PINS[theorem][0]
+    per_member = [evaluate_payload(theorem, p) for p in _payloads(theorem, **sizes)]
+    assert _without_micros(run_sweep(theorem, **sizes).records) == _without_micros(per_member)
+
+
+@pytest.mark.parametrize("predict_raises", [False, True])
+def test_oracle_error_is_copied_to_its_class(monkeypatch, predict_raises):
+    # On pro12 at 8 the oracle raises on the class of G2^4(0,1;1,0) and
+    # G2^4(1,0;0,1), generated in that order.  Each member whose prediction
+    # succeeded records the oracle's error; a member whose prediction
+    # raised records its own error, and the oracle runs on the next member.
+    row = THEOREMS["pro12"]
+    bad = canonical_cert(build(parse_spec("G2^4(0,1;1,0)")).graph)
+    calls = []
+
+    def oracle(G):
+        calls.append(G)
+        if canonical_cert(G) == bad:
+            raise CharacterizationError("no main block")
+        return row.oracle(G)
+
+    def predict(G, spec):
+        if predict_raises and str(spec) == "G2^4(0,1;1,0)":
+            raise PreconditionError("not a cactus")
+        return row.predict(G, spec)
+
+    monkeypatch.setitem(THEOREMS, "pro12", dataclasses.replace(row, predict=predict, oracle=oracle))
+    rep = run_sweep("pro12", max_vertices=8)
+    errors = {r["spec"]: r["error"] for r in rep.disagreements}
+    want = dict.fromkeys(["G2^4(0,1;1,0)", "G2^4(1,0;0,1)"], "CharacterizationError: no main block")
+    if predict_raises:
+        want["G2^4(0,1;1,0)"] = "PreconditionError: not a cactus"
+    assert errors == want
+    assert all(r["predicted"] is None and r["oracle"] is None for r in rep.disagreements)
+    assert (rep.total, rep.oracle_runs, len(calls)) == (13, 8, 8)  # 13 specs in 8 mirror classes
+
+
+def test_class_once_is_the_same_for_every_job_count(monkeypatch):
+    # pro15 at 10 has mirror pairs, and one pool task is one class.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one, two = (run_sweep("pro15", max_vertices=10, jobs=jobs) for jobs in (1, 2))
+    assert one.oracle_runs == two.oracle_runs < one.total
+    assert _without_micros(one.records) == _without_micros(two.records)
+
+
+def _small_payload_graphs(theorem: str) -> list[Graph]:
+    """A few payload graphs of the sweep at a small size, largest last."""
+    sizes = {k: {"max_vertices": 7, "base_max": 4}[k] for k in THEOREMS[theorem].defaults}
+    graphs = [
+        build(parse_spec(p["spec"])).graph if "spec" in p else p["graph"]
+        for p in _payloads(theorem, **sizes)
+    ]
+    step = max(1, len(graphs) // 4)
+    return graphs[::step][:4] + graphs[-1:]
+
+
+@pytest.mark.parametrize("theorem", ALL_IDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_oracle_is_an_isomorphism_invariant(theorem, data):
+    # Class-once reads one member's oracle value for every member, which is
+    # sound only when the oracle reads neither labels nor the spec.
+    oracle = THEOREMS[theorem].oracle
+    for g in _small_payload_graphs(theorem):
+        assert oracle(relabel(g, data.draw(permutations_of(g.n)))) == oracle(g)
