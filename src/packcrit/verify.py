@@ -25,13 +25,19 @@ the oracle runs on the first member whose prediction succeeds, and the
 others copy its value or its error.  ``micros`` covers a payload's build,
 its prediction and, on the member that ran it, the oracle, so a member that
 copies the value records only its own build and prediction.
+
+Payloads stream, and a class is a run of adjacent payloads with the same
+class key.  A graph source builds each graph (a hub graph from its base)
+only when the stream reaches it, so a sweep holds its records but not its
+graphs.  That build is the source's time, ``payload_s``; ``micros`` starts
+after it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -85,7 +91,7 @@ class Sweep:
 
     theorem: str
     describe: Callable[[dict], str]
-    payloads: Callable[[dict], list[dict]]
+    payloads: Callable[[dict], Iterable[dict]]
     predict: Callable[[Graph, Optional[FamilySpec]], object]
     oracle: Callable[[Graph], object]
     defaults: dict = field(default_factory=dict)
@@ -193,6 +199,38 @@ def _evaluate_class(theorem: str, members: list[dict]) -> tuple[list[dict], int]
     return records, len(shared)
 
 
+def _classes(payloads: Iterator[dict], spent: list[float]) -> Iterator[list[dict]]:
+    """The runs of adjacent payloads with the same class key.  A payload
+    without a key is a class of its own, yielded before the next payload is
+    read.  ``spent[0]`` gathers the time spent reading ``payloads``."""
+    run: list[dict] = []
+    while True:
+        t0 = time.perf_counter()
+        p = next(payloads, None)
+        spent[0] += time.perf_counter() - t0
+        if run and (p is None or p.get("class") != run[0]["class"]):
+            yield run
+            run = []
+        if p is None:
+            return
+        if "class" in p:
+            run.append(p)
+        else:
+            yield [p]
+
+
+def _results(evaluate: Callable, classes: Iterable[list[dict]], workers: int) -> Iterator[tuple[list[dict], int]]:
+    """``evaluate`` over ``classes``, in order, in ``workers`` spawned
+    processes when there are more than one."""
+    if workers < 2:
+        yield from map(evaluate, classes)
+        return
+    import multiprocessing  # only a sweep with workers pays for the import
+
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        yield from pool.imap(evaluate, classes, 64)  # 64 classes per task
+
+
 def run_sweep(
     theorem: str,
     *,
@@ -208,13 +246,13 @@ def run_sweep(
     extra predicate still filter them.  A size the sweep's defaults do not
     name, or a corpus given to a sweep whose instances are generated (the
     spec sweeps and lem-rad3), raises ValueError rather than being ignored,
-    before any instance is built.  The payloads are grouped into classes
-    (see the module docstring), in order of each class's first payload, and
-    one class is one unit of work, so records and oracle calls are the same
-    for every ``jobs``.  At most ``min(jobs, os.cpu_count(), number of
-    classes)`` worker processes run; each is spawned as a fresh interpreter
-    rather than forked, so none inherits the caller's threads, locks or
-    caches.
+    before any instance is built.  One class (see the module docstring) is
+    one unit of work, so records and oracle calls are the same for every
+    ``jobs``.  With one job each class is evaluated as it arrives.  With
+    more, the stream feeds an ordered ``pool.imap`` on at most ``min(jobs,
+    os.cpu_count(), number of classes)`` workers, counted by reading that
+    many classes ahead; each is spawned as a fresh interpreter rather than
+    forked, so none inherits the caller's threads, locks or caches.
     """
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem!r}; known: {sorted(THEOREMS)}")
@@ -229,26 +267,20 @@ def run_sweep(
         cfg[key] = size
     cfg.update(theorem=theorem, corpus=corpus)
     t0 = time.perf_counter()
-    payloads = sweep.payloads(cfg)
-    payload_s = time.perf_counter() - t0
-    classes: dict[object, list[dict]] = {}
-    for i, p in enumerate(payloads):
-        classes.setdefault(p.get("class", i), []).append(p)
+    payloads = iter(sweep.payloads(cfg))
+    spent = [time.perf_counter() - t0]
+    classes = _classes(payloads, spent)
+    cap = min(jobs, os.cpu_count() or 1)
+    head = list(itertools.islice(classes, cap)) if cap > 1 else []
     evaluate = functools.partial(_evaluate_class, theorem)
-    workers = min(jobs, os.cpu_count() or 1, len(classes))
-    if workers > 1:
-        with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            results = pool.map(evaluate, classes.values())
-    else:
-        results = map(evaluate, classes.values())  # each class's results freed once read
     records: list[dict] = []
     oracle_runs = 0
-    for recs, runs in results:
+    for recs, runs in _results(evaluate, itertools.chain(head, classes), len(head)):
         records += recs
         oracle_runs += runs
     records.sort(key=lambda r: (r["instance_g6"], r["spec"] or ""))
     wall = time.perf_counter() - t0
-    return VerificationReport(theorem, sweep.describe(cfg), records, wall, payload_s, oracle_runs)
+    return VerificationReport(theorem, sweep.describe(cfg), records, wall, spent[0], oracle_runs)
 
 
 # -- instance sources ----------------------------------------------------------
@@ -262,14 +294,16 @@ def _no_corpus(cfg: dict) -> None:
 
 def _specs(generate: Callable[[Optional[int]], Iterable[FamilySpec]]):
     """Spec source: the family specs ``generate(max_vertices)`` yields.  A
-    payload's class is the lesser text of its spec and the spec's mirror."""
+    payload's class is the lesser text of its spec and the spec's mirror;
+    the classes come in order of their first spec, each with its members
+    next to each other in generated order."""
 
-    def payloads(cfg: dict) -> list[dict]:
+    def payloads(cfg: dict) -> Iterator[dict]:
         _no_corpus(cfg)
-        return [
-            {"spec": str(s), "class": min(str(s), str(s.mirror()))}
-            for s in generate(cfg.get("max_vertices"))
-        ]
+        classes: dict[str, list[str]] = {}
+        for s in generate(cfg.get("max_vertices")):
+            classes.setdefault(min(str(s), str(s.mirror())), []).append(str(s))
+        return ({"spec": s, "class": key} for key, specs in classes.items() for s in specs)
 
     return payloads
 
@@ -280,13 +314,13 @@ def _class(extra: Optional[Callable[[Graph], bool]] = None, **filter_args):
     enumeration; a corpus graph is kept when it matches the filter and
     passes ``extra``."""
 
-    def payloads(cfg: dict) -> list[dict]:
+    def payloads(cfg: dict) -> Iterator[dict]:
         filt = EnumerationFilter(max_n=cfg["max_vertices"], **filter_args)
         if cfg["corpus"] is None:
             graphs = enumerate_graphs(filt)
         else:
             graphs = (g for g in cfg["corpus"] if filt.matches(g))
-        return [{"graph": g} for g in graphs if extra is None or extra(g)]
+        return ({"graph": g} for g in graphs if extra is None or extra(g))
 
     return payloads
 
@@ -298,16 +332,15 @@ def _hub_plus(base: Graph) -> Graph:
     return Graph._from_rows(tuple(base.neighbors(v) + (n,) for v in range(n)) + (tuple(range(n)),))
 
 
-def _hub_payloads(cfg: dict) -> list[dict]:
-    """A hub joined to every graph on at most ``base_max`` vertices; a
-    supplied corpus contributes its radius-1 graphs instead."""
+def _hub_payloads(cfg: dict) -> Iterator[dict]:
+    """A hub joined to every graph on at most ``base_max`` vertices, each
+    built when the stream reaches its base; a supplied corpus contributes
+    its radius-1 graphs instead."""
     corpus = cfg["corpus"]
     if corpus is not None:
-        graphs = [g for g in corpus if has_radius(g, 1)]
-    else:
-        bases = enumerate_graphs(EnumerationFilter(max_n=cfg["base_max"]))
-        graphs = [_hub_plus(b) for b in bases]
-    return [{"graph": g} for g in graphs]
+        return ({"graph": g} for g in corpus if has_radius(g, 1))
+    bases = enumerate_graphs(EnumerationFilter(max_n=cfg["base_max"]))
+    return ({"graph": _hub_plus(b)} for b in bases)
 
 
 def _lem_rad3_payloads(cfg: dict) -> list[dict]:

@@ -6,12 +6,16 @@ import itertools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packcrit import enumeration
+import packcrit
+from packcrit import enumeration, verify
 from packcrit.cli import main
 from packcrit.enumeration import EnumerationFilter, canonical_cert, representatives
 from packcrit.errors import CharacterizationError, PreconditionError
@@ -289,14 +293,60 @@ def test_workers_are_bounded(monkeypatch, jobs, cpus, pool):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
 
     monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", lambda context, processes: FakePool(processes))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     rep = run_sweep("lemma1", jobs=jobs)
     assert rep.total == 10 and rep.ok
     assert asked == pool
+
+
+def test_multiprocessing_loads_only_for_workers():
+    # Importing the package and a one-job CLI sweep leave the pool module
+    # unloaded, in a fresh interpreter.
+    code = (
+        "import sys, packcrit\n"
+        "from packcrit.cli import main\n"
+        "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'multiprocessing']\n"
+        "print(loaded())\n"
+        "main(['verify', 'lemma1', '--jobs', '1'])\n"
+        "print(loaded())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(packcrit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]") and lines[1].startswith("lemma1: OK")
+
+
+def test_hub_graphs_stream(monkeypatch):
+    # With one job each hub graph is built only once the previous one has
+    # been evaluated.
+    events = []
+    build_hub, evaluate = verify._hub_plus, verify.evaluate_payload
+
+    def built(base):
+        events.append("build")
+        return build_hub(base)
+
+    def evaluated(theorem, payload, shared=None):
+        events.append("evaluate")
+        return evaluate(theorem, payload, shared)
+
+    monkeypatch.setattr(verify, "_hub_plus", built)
+    monkeypatch.setattr(verify, "evaluate_payload", evaluated)
+    rep = run_sweep("thm12", base_max=5, jobs=1)
+    assert rep.total == 52 and events == ["build", "evaluate"] * 52
+
+
+@pytest.mark.parametrize("theorem,sizes", [("thm12", {"base_max": 5}), ("lemma4", {"max_vertices": 6})])
+def test_streamed_records_are_the_same_for_every_job_count(monkeypatch, theorem, sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one, two = (run_sweep(theorem, jobs=jobs, **sizes) for jobs in (1, 2))
+    assert one.total == two.total > 0 and one.oracle_runs == two.oracle_runs
+    assert _without_micros(one.records) == _without_micros(two.records)
+    assert all(0 <= rep.payload_s <= rep.wall_time_s for rep in (one, two))
 
 
 def test_workers_are_spawned(monkeypatch):
@@ -332,7 +382,7 @@ def test_graph_payloads_cross_to_workers(monkeypatch):
 
 def _payloads(theorem: str, **sizes) -> list[dict]:
     sweep = THEOREMS[theorem]
-    return sweep.payloads(dict(sweep.defaults, **sizes, theorem=theorem, corpus=None))
+    return list(sweep.payloads(dict(sweep.defaults, **sizes, theorem=theorem, corpus=None)))
 
 
 def _without_micros(records: list[dict]) -> list[dict]:
@@ -354,6 +404,13 @@ def test_mirror_classes_are_the_isomorphism_classes(theorem):
         cert_of_class.setdefault(p["class"], set()).add(canonical_cert(build(spec).graph))
     assert all(len(certs) == 1 for certs in cert_of_class.values())
     assert len(set.union(*cert_of_class.values())) == len(cert_of_class)
+
+
+@pytest.mark.parametrize("theorem", SPEC_IDS)
+def test_mirror_classes_are_adjacent(theorem):
+    # A class is a run of adjacent payloads, so each class key forms one run.
+    keys = [p["class"] for p in _payloads(theorem)]
+    assert len(list(itertools.groupby(keys))) == len(set(keys))
 
 
 # spec sweep -> oracle calls at its default size, one per mirror class (the
