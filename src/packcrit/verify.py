@@ -11,26 +11,28 @@ description of the configuration, an instance source, a prediction
 ``(graph, spec or None) -> predicted``, an oracle ``graph -> oracle`` and its
 default sizes.  An instance source is a family-spec generator (``_specs``),
 a hypothesis class (``_class``), or one of two custom sources (hub graphs,
-lem-rad3).
+lem-rad3), and it yields its payloads grouped into classes, one list per
+class.
 
 The oracle reads only the graph, and every oracle is an isomorphism
 invariant, so it runs once per class of payloads that build isomorphic
-graphs.  A spec payload's class is its spec together with
+graphs.  A spec source puts each spec in one class with
 ``FamilySpec.mirror()``: Gqr's pairs reversed, H's swapped.  The mirror
 builds an isomorphic graph: the reflection x -> q - 1 - x (mod r) of C_r
 maps Gqr's i-th decorated vertex onto its (q + 1 - i)-th, and swapping H's
-two hubs is an automorphism of the hub edge.  A graph payload is a class of
-its own.  Every payload still gets its own build, prediction and record;
-the oracle runs on the first member whose prediction succeeds, and the
-others copy its value or its error.  ``micros`` covers a payload's build,
-its prediction and, on the member that ran it, the oracle, so a member that
-copies the value records only its own build and prediction.
+two hubs is an automorphism of the hub edge.  A graph source yields each
+graph as a class of its own.  Every payload still gets its own build,
+prediction and record; the oracle runs on the first member whose
+prediction succeeds, and the others copy its value or its error.
+``micros`` covers a payload's build, its prediction and, on the member
+that ran it, the oracle, so a member that copies the value records only
+its own build and prediction.
 
-Payloads stream, and a class is a run of adjacent payloads with the same
-class key.  A graph source builds each graph (a hub graph from its base)
-only when the stream reaches it, so a sweep holds its records but not its
-graphs.  That build is the source's time, ``payload_s``; ``micros`` starts
-after it.
+Sources stream their classes.  A graph source builds each graph (a hub
+graph from its base) only when the stream reaches it, so a sweep holds
+its records but not its graphs.  Reading the source, that build included,
+is ``payload_s``; a graph payload's ``micros`` starts after it, and a spec
+payload's build is in its ``micros``.
 """
 
 from __future__ import annotations
@@ -84,14 +86,15 @@ DEFAULT_JOBS = 1
 
 @dataclass
 class Sweep:
-    """One row of the sweep table.  ``describe`` and ``payloads`` take the
+    """One row of the sweep table.  ``describe`` and ``classes`` take the
     run's configuration: ``defaults`` overridden by the caller's sizes, plus
-    ``theorem`` and ``corpus``.  ``oracle`` must be an isomorphism invariant
-    of its graph: it runs once per class of isomorphic payloads."""
+    ``theorem`` and ``corpus``.  ``classes`` yields the payloads as lists,
+    one per class.  ``oracle`` must be an isomorphism invariant of its
+    graph: it runs once per class of isomorphic payloads."""
 
     theorem: str
     describe: Callable[[dict], str]
-    payloads: Callable[[dict], Iterable[dict]]
+    classes: Callable[[dict], Iterable[list[dict]]]
     predict: Callable[[Graph, Optional[FamilySpec]], object]
     oracle: Callable[[Graph], object]
     defaults: dict = field(default_factory=dict)
@@ -199,36 +202,45 @@ def _evaluate_class(theorem: str, members: list[dict]) -> tuple[list[dict], int]
     return records, len(shared)
 
 
-def _classes(payloads: Iterator[dict], spent: list[float]) -> Iterator[list[dict]]:
-    """The runs of adjacent payloads with the same class key.  A payload
-    without a key is a class of its own, yielded before the next payload is
-    read.  ``spent[0]`` gathers the time spent reading ``payloads``."""
-    run: list[dict] = []
+def _timed(classes: Iterator[list[dict]], spent: list[float]) -> Iterator[list[dict]]:
+    """``classes``, adding the time spent reading each to ``spent[0]``."""
     while True:
         t0 = time.perf_counter()
-        p = next(payloads, None)
+        members = next(classes, None)
         spent[0] += time.perf_counter() - t0
-        if run and (p is None or p.get("class") != run[0]["class"]):
-            yield run
-            run = []
-        if p is None:
+        if members is None:
             return
-        if "class" in p:
-            run.append(p)
-        else:
-            yield [p]
+        yield members
 
 
-def _results(evaluate: Callable, classes: Iterable[list[dict]], workers: int) -> Iterator[tuple[list[dict], int]]:
-    """``evaluate`` over ``classes``, in order, in ``workers`` spawned
-    processes when there are more than one."""
+def _batches(classes: Iterator[list[dict]], workers: int) -> Iterator[list[list[dict]]]:
+    """``classes`` in consecutive batches, one per task.  A batch takes one
+    class for every ``4 * workers`` read before it, and at least one: the
+    chunk rule of ``pool.map``, applied to the stream read so far.  So the
+    first ``4 * workers`` tasks hold one class each, and a long stream
+    pays for few tasks."""
+    read = 0
+    while batch := list(itertools.islice(classes, max(1, read // (4 * workers)))):
+        read += len(batch)
+        yield batch
+
+
+def _evaluate_batch(theorem: str, batch: list[list[dict]]) -> list[tuple[list[dict], int]]:
+    """``_evaluate_class`` over one batch of classes, in a worker."""
+    return [_evaluate_class(theorem, members) for members in batch]
+
+
+def _results(theorem: str, classes: Iterator[list[dict]], workers: int) -> Iterator[tuple[list[dict], int]]:
+    """``_evaluate_class`` over ``classes``, in order, in ``workers``
+    spawned processes when there are more than one."""
     if workers < 2:
-        yield from map(evaluate, classes)
+        yield from map(functools.partial(_evaluate_class, theorem), classes)
         return
     import multiprocessing  # only a sweep with workers pays for the import
 
     with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        yield from pool.imap(evaluate, classes, 64)  # 64 classes per task
+        for results in pool.imap(functools.partial(_evaluate_batch, theorem), _batches(classes, workers)):
+            yield from results
 
 
 def run_sweep(
@@ -251,8 +263,10 @@ def run_sweep(
     ``jobs``.  With one job each class is evaluated as it arrives.  With
     more, the stream feeds an ordered ``pool.imap`` on at most ``min(jobs,
     os.cpu_count(), number of classes)`` workers, counted by reading that
-    many classes ahead; each is spawned as a fresh interpreter rather than
-    forked, so none inherits the caller's threads, locks or caches.
+    many classes ahead, in batches that start at one class (``_batches``),
+    so every worker gets work however few the classes are.  Each worker is
+    spawned as a fresh interpreter rather than forked, so none inherits
+    the caller's threads, locks or caches.
     """
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem!r}; known: {sorted(THEOREMS)}")
@@ -267,15 +281,14 @@ def run_sweep(
         cfg[key] = size
     cfg.update(theorem=theorem, corpus=corpus)
     t0 = time.perf_counter()
-    payloads = iter(sweep.payloads(cfg))
+    source = iter(sweep.classes(cfg))
     spent = [time.perf_counter() - t0]
-    classes = _classes(payloads, spent)
+    classes = _timed(source, spent)
     cap = min(jobs, os.cpu_count() or 1)
     head = list(itertools.islice(classes, cap)) if cap > 1 else []
-    evaluate = functools.partial(_evaluate_class, theorem)
     records: list[dict] = []
     oracle_runs = 0
-    for recs, runs in _results(evaluate, itertools.chain(head, classes), len(head)):
+    for recs, runs in _results(theorem, itertools.chain(head, classes), len(head)):
         records += recs
         oracle_runs += runs
     records.sort(key=lambda r: (r["instance_g6"], r["spec"] or ""))
@@ -293,19 +306,19 @@ def _no_corpus(cfg: dict) -> None:
 
 
 def _specs(generate: Callable[[Optional[int]], Iterable[FamilySpec]]):
-    """Spec source: the family specs ``generate(max_vertices)`` yields.  A
-    payload's class is the lesser text of its spec and the spec's mirror;
-    the classes come in order of their first spec, each with its members
-    next to each other in generated order."""
+    """Spec source: the family specs ``generate(max_vertices)`` yields,
+    grouped by the lesser text of a spec and its mirror.  The classes come
+    in order of their first spec, each holding its specs in generated
+    order."""
 
-    def payloads(cfg: dict) -> Iterator[dict]:
+    def classes(cfg: dict) -> Iterable[list[dict]]:
         _no_corpus(cfg)
-        classes: dict[str, list[str]] = {}
+        by_key: dict[str, list[dict]] = {}
         for s in generate(cfg.get("max_vertices")):
-            classes.setdefault(min(str(s), str(s.mirror())), []).append(str(s))
-        return ({"spec": s, "class": key} for key, specs in classes.items() for s in specs)
+            by_key.setdefault(min(str(s), str(s.mirror())), []).append({"spec": str(s)})
+        return by_key.values()
 
-    return payloads
+    return classes
 
 
 def _class(extra: Optional[Callable[[Graph], bool]] = None, **filter_args):
@@ -314,15 +327,15 @@ def _class(extra: Optional[Callable[[Graph], bool]] = None, **filter_args):
     enumeration; a corpus graph is kept when it matches the filter and
     passes ``extra``."""
 
-    def payloads(cfg: dict) -> Iterator[dict]:
+    def classes(cfg: dict) -> Iterator[list[dict]]:
         filt = EnumerationFilter(max_n=cfg["max_vertices"], **filter_args)
         if cfg["corpus"] is None:
             graphs = enumerate_graphs(filt)
         else:
             graphs = (g for g in cfg["corpus"] if filt.matches(g))
-        return ({"graph": g} for g in graphs if extra is None or extra(g))
+        return ([{"graph": g}] for g in graphs if extra is None or extra(g))
 
-    return payloads
+    return classes
 
 
 def _hub_plus(base: Graph) -> Graph:
@@ -332,18 +345,18 @@ def _hub_plus(base: Graph) -> Graph:
     return Graph._from_rows(tuple(base.neighbors(v) + (n,) for v in range(n)) + (tuple(range(n)),))
 
 
-def _hub_payloads(cfg: dict) -> Iterator[dict]:
+def _hub_classes(cfg: dict) -> Iterator[list[dict]]:
     """A hub joined to every graph on at most ``base_max`` vertices, each
     built when the stream reaches its base; a supplied corpus contributes
     its radius-1 graphs instead."""
     corpus = cfg["corpus"]
     if corpus is not None:
-        return ({"graph": g} for g in corpus if has_radius(g, 1))
+        return ([{"graph": g}] for g in corpus if has_radius(g, 1))
     bases = enumerate_graphs(EnumerationFilter(max_n=cfg["base_max"]))
-    return ({"graph": _hub_plus(b)} for b in bases)
+    return ([{"graph": _hub_plus(b)}] for b in bases)
 
 
-def _lem_rad3_payloads(cfg: dict) -> list[dict]:
+def _lem_rad3_classes(cfg: dict) -> list[list[dict]]:
     _no_corpus(cfg)
     graphs = [build(FamilySpec("cycle", n=n)).graph for n in range(7, cfg["max_vertices"] + 1, 2)]
     small = enumerate_graphs(
@@ -353,7 +366,7 @@ def _lem_rad3_payloads(cfg: dict) -> list[dict]:
     unique: dict[tuple[int, int], Graph] = {}  # canonical certificate -> the first graph with it
     for g in graphs:
         unique.setdefault(canonical_cert(g), g)
-    return [{"graph": g} for g in unique.values()]
+    return [[{"graph": g}] for g in unique.values()]
 
 
 def _decorations(q: int, budget: int) -> Iterator[tuple[Pair, ...]]:
@@ -531,19 +544,19 @@ THEOREMS: dict[str, Sweep] = {sweep.theorem: sweep for sweep in (
           _class(structure="cactus", radius=2, diameter=3),
           lambda G, _: classify_cactus_rad2_diam3(G).predicted_critical, _critical, {_MV: 10}),
     Sweep("thm12", lambda c: f"hub joined to every graph on <={c['base_max']} vertices: classifier vs solver",
-          _hub_payloads, lambda G, _: classify_radius1(G).predicted_critical, _critical, {"base_max": 6}),
+          _hub_classes, lambda G, _: classify_radius1(G).predicted_critical, _critical, {"base_max": 6}),
     Sweep("pro14", lambda c: f"radius-1 graphs (hub + base<={c['base_max']}): critical implies no leaf",
-          _hub_payloads, _holds, _pro14, {"base_max": 7}),
+          _hub_classes, _holds, _pro14, {"base_max": 7}),
     Sweep("cor1", lambda c: (f"critical radius-1 graphs (hub + base<={c['base_max']}): "
                              "stripped graph splits into alpha-critical parts"),
-          _hub_payloads, _holds, _cor1, {"base_max": 7}),
+          _hub_classes, _holds, _cor1, {"base_max": 7}),
     Sweep("cor-haynes", lambda c: (f"alpha-critical connected graphs n<={c[_MV]}: "
                                    "some maximum independent set avoids each vertex"),
           _class(lambda g: is_alpha_critical(g).critical, min_n=2, connected=True),
           _holds, lambda G: every_vertex_avoidable(G), {_MV: 7}),
     Sweep("lem-rad3", lambda c: (f"alpha-critical graphs of radius>=3 (odd cycles to C{c[_MV]} plus enumerated): "
                                  "distance-3 pairs avoidable"),
-          _lem_rad3_payloads, _holds, lambda G: check_lemma_rad3(G), {_MV: 11}),
+          _lem_rad3_classes, _holds, lambda G: check_lemma_rad3(G), {_MV: 11}),
     Sweep("teo2", lambda c: f"connected graphs n<={c[_MV]}: per-edge criterion equals alpha-criticality",
           _class(connected=True), lambda G, _: haynes_check(G), lambda G: is_alpha_critical(G).critical, {_MV: 7}),
     Sweep("obsv1", lambda c: f"connected graphs n<={c[_MV]}: components after a bridge removal never exceed the diameter",

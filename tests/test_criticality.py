@@ -240,13 +240,14 @@ class TestOrbitSkips:
     @pytest.mark.parametrize("theorem", FAMILY_SWEEPS)
     def test_family_sweep_instances_match_reference(self, theorem):
         sweep = verify.THEOREMS[theorem]
-        for payload in sweep.payloads(dict(sweep.defaults, corpus=None)):
-            _same_as_reference(build(parse_spec(payload["spec"])).graph)
+        for members in sweep.classes(dict(sweep.defaults, corpus=None)):
+            for payload in members:
+                _same_as_reference(build(parse_spec(payload["spec"])).graph)
 
     def test_hub_graphs_match_reference(self):
         # The thm12 instances: a hub joined to every graph on <= 6 vertices.
         sweep = verify.THEOREMS["thm12"]
-        for payload in sweep.payloads(dict(sweep.defaults, corpus=None)):
+        for [payload] in sweep.classes(dict(sweep.defaults, corpus=None)):
             _same_as_reference(payload["graph"])
 
     @pytest.mark.parametrize("g, kind, witness", [

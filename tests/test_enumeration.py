@@ -637,7 +637,8 @@ class TestSearchMatchesReference:
     def test_family_graphs(self, theorem):
         # criticality searches these graphs
         sweep = THEOREMS[theorem]
-        for payload in sweep.payloads(dict(sweep.defaults, corpus=None)):
+        classes = sweep.classes(dict(sweep.defaults, corpus=None))
+        for payload in (p for members in classes for p in members):
             adj = build(parse_spec(payload["spec"])).graph.adjacency_bits()
             expected = reference_search_bits(adj)
             assert _search_bits(adj) == expected, payload["spec"]

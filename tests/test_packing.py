@@ -419,7 +419,8 @@ class TestRoomRefusals:
     def test_pro9_per_member_node_count_pinned(self):
         # With the oracle run on every one of pro9's 81 graphs.
         sweep = verify.THEOREMS["pro9"]
-        payloads = sweep.payloads(dict(sweep.defaults, theorem="pro9", corpus=None))
+        classes = sweep.classes(dict(sweep.defaults, theorem="pro9", corpus=None))
+        payloads = [p for members in classes for p in members]
         records = []
         assert _dfs_nodes(lambda: records.extend(verify.evaluate_payload("pro9", p) for p in payloads)) == 4_232
         assert len(records) == 81 and all(r["agree"] for r in records)

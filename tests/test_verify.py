@@ -349,6 +349,23 @@ def test_streamed_records_are_the_same_for_every_job_count(monkeypatch, theorem,
     assert all(0 <= rep.payload_s <= rep.wall_time_s for rep in (one, two))
 
 
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_batches_spread_few_classes_and_grow(workers):
+    # The first 4 * workers tasks hold one class each, so a sweep with at
+    # least as many classes as workers keeps every worker busy; after that
+    # a batch takes one class per 4 * workers read before it, and the
+    # batches keep the stream's order.
+    for n in (1, workers, 13, 43, 1460):
+        batches = list(verify._batches(iter(range(n)), workers))
+        assert [c for b in batches for c in b] == list(range(n))
+        assert all(len(b) == 1 for b in batches[: 4 * workers])
+        read = 0
+        for b in batches[:-1]:
+            assert len(b) == max(1, read // (4 * workers))
+            read += len(b)
+    assert len(list(verify._batches(iter(range(13_598)), 2))) == 75
+
+
 def test_workers_are_spawned(monkeypatch):
     # Workers start from a fresh interpreter, not a fork of the caller.
     started = []
@@ -369,8 +386,7 @@ def test_graph_payloads_cross_to_workers(monkeypatch):
     # Class sources hand over their graphs as they are, with no graph6
     # round trip; lem-rad3 keeps one graph per isomorphism class.  Spawned
     # workers unpickle the graphs and write the same records, in order.
-    sweep = THEOREMS["lem-rad3"]
-    payloads = sweep.payloads(dict(sweep.defaults, corpus=None))
+    payloads = _payloads("lem-rad3")
     assert payloads and all(isinstance(p["graph"], Graph) for p in payloads)
     assert len({canonical_cert(p["graph"]) for p in payloads}) == len(payloads)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -380,9 +396,13 @@ def test_graph_payloads_cross_to_workers(monkeypatch):
     assert one == two
 
 
-def _payloads(theorem: str, **sizes) -> list[dict]:
+def _classes(theorem: str, **sizes) -> list[list[dict]]:
     sweep = THEOREMS[theorem]
-    return list(sweep.payloads(dict(sweep.defaults, **sizes, theorem=theorem, corpus=None)))
+    return list(sweep.classes(dict(sweep.defaults, **sizes, theorem=theorem, corpus=None)))
+
+
+def _payloads(theorem: str, **sizes) -> list[dict]:
+    return [p for members in _classes(theorem, **sizes) for p in members]
 
 
 def _without_micros(records: list[dict]) -> list[dict]:
@@ -394,23 +414,17 @@ def _without_micros(records: list[dict]) -> list[dict]:
 
 @pytest.mark.parametrize("theorem", SPEC_IDS)
 def test_mirror_classes_are_the_isomorphism_classes(theorem):
-    # At the default size a payload's class holds its spec and the spec's
-    # mirror, and two payloads share a class exactly when their graphs share
-    # a canonical certificate.
-    cert_of_class = {}
-    for p in _payloads(theorem):
-        spec = parse_spec(p["spec"])
-        assert p["class"] == min(p["spec"], str(spec.mirror()))
-        cert_of_class.setdefault(p["class"], set()).add(canonical_cert(build(spec).graph))
-    assert all(len(certs) == 1 for certs in cert_of_class.values())
-    assert len(set.union(*cert_of_class.values())) == len(cert_of_class)
-
-
-@pytest.mark.parametrize("theorem", SPEC_IDS)
-def test_mirror_classes_are_adjacent(theorem):
-    # A class is a run of adjacent payloads, so each class key forms one run.
-    keys = [p["class"] for p in _payloads(theorem)]
-    assert len(list(itertools.groupby(keys))) == len(set(keys))
+    # At the default size a class holds a spec and, when it is generated
+    # too, the spec's mirror, and two payloads share a class exactly when
+    # their graphs share a canonical certificate.
+    certs_of_class = []
+    for members in _classes(theorem):
+        specs = [parse_spec(p["spec"]) for p in members]
+        assert len({min(str(s), str(s.mirror())) for s in specs}) == 1
+        assert len(specs) == len(set(map(str, specs))) <= 2
+        certs_of_class.append({canonical_cert(build(s).graph) for s in specs})
+    assert all(len(certs) == 1 for certs in certs_of_class)
+    assert len(set.union(*certs_of_class)) == len(certs_of_class)
 
 
 # spec sweep -> oracle calls at its default size, one per mirror class (the
